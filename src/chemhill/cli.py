@@ -279,9 +279,13 @@ class CosineSource:
 
 
 class CsvSeriesSource:
-    """Piecewise-constant-in-time series from rows t,node,value (sorted blocks)."""
+    """Piecewise-constant-in-time series from rows t,node,value (sorted blocks).
 
-    def __init__(self, path, role="g"):
+    Node indices are C-order flat indices into a grid of ``node_count``
+    nodes; an index outside ``[0, node_count)`` is rejected, never wrapped.
+    """
+
+    def __init__(self, path, node_count, role="g"):
         self.kind = role
         self.path = path
         blocks = {}
@@ -289,11 +293,16 @@ class CsvSeriesSource:
             header = fh.readline().strip().split(",")
             if header != ["t", "node", "value"]:
                 raise ValueError(f"csv-series must have header t,node,value, got {header}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 t, node, value = line.strip().split(",")
-                blocks.setdefault(float(t), {})[int(node)] = float(value)
+                node = int(node)
+                if not 0 <= node < node_count:
+                    raise ValueError(
+                        f"csv-series line {lineno}: node {node} outside 0..{node_count - 1}"
+                    )
+                blocks.setdefault(float(t), {})[node] = float(value)
         if not blocks:
             raise ValueError("csv-series file holds no rows")
         self.times = sorted(blocks)
@@ -323,12 +332,12 @@ def build_initial(cfg, grid):
     return load_field_csv(grid, cfg.initial_path)
 
 
-def build_source(cfg):
+def build_source(cfg, grid):
     if cfg.source_preset == "zero":
         return None
     if cfg.source_preset == "cosine_g":
         return CosineSource(cfg.source_k, cfg.source_amplitude, cfg.source_ramp)
-    return CsvSeriesSource(cfg.source_path, cfg.source_role)
+    return CsvSeriesSource(cfg.source_path, grid.node_count, cfg.source_role)
 
 
 def build_scenario(cfg):
@@ -339,7 +348,7 @@ def build_scenario(cfg):
         beta=BetaSpec(cfg.beta_family, m=cfg.m, c1=cfg.c1, c2=cfg.c2),
         pi=PiSpec(cfg.pi_family, c3=cfg.c3),
         u0=build_initial(cfg, grid),
-        source=build_source(cfg),
+        source=build_source(cfg, grid),
         smooth_u0=cfg.smooth,
     )
 
@@ -359,8 +368,7 @@ def _render_metadata(cfg, extra):
 # commands
 
 
-def _cmd_simulate(cfg, outdir, jobs, seed):
-    scenario = build_scenario(cfg)
+def _cmd_simulate(cfg, scenario, outdir, jobs, seed):
     opts = cfg.solver_options()
     try:
         traj = run(scenario, opts)
@@ -387,8 +395,7 @@ def _cmd_simulate(cfg, outdir, jobs, seed):
     return 0
 
 
-def _cmd_study(cfg, axis, outdir, jobs, seed):
-    scenario = build_scenario(cfg)
+def _cmd_study(cfg, scenario, axis, outdir, jobs, seed):
     opts = cfg.solver_options()
     if axis == "h":
         levels = [int(x) for x in (cfg.h_levels or (cfg.N, 2 * cfg.N, 4 * cfg.N))]
@@ -409,8 +416,7 @@ def _cmd_study(cfg, axis, outdir, jobs, seed):
     return 0 if report.failed_level is None else 1
 
 
-def _cmd_validate(cfg, outdir, jobs, seed):
-    scenario = build_scenario(cfg)
+def _cmd_validate(cfg, scenario, outdir, jobs, seed):
     probes = []
     if scenario.source is not None and scenario.source.kind == "g":
         probes = average_sources(scenario.source, scenario.params, scenario.grid)
@@ -423,10 +429,9 @@ def _cmd_validate(cfg, outdir, jobs, seed):
     return 0 if report.passed else 1
 
 
-def _cmd_check_identities(cfg, outdir, jobs, seed):
+def _cmd_check_identities(cfg, scenario, outdir, jobs, seed):
     # short run at the configured step size with tightened solves: the
     # identities are exact, so any slack beyond roundoff is a defect
-    scenario = build_scenario(cfg)
     n_short = min(cfg.N, 16)
     scenario = scenario.with_params(N=n_short, T=cfg.T * n_short / cfg.N)
     opts = SolverOptions(
@@ -453,13 +458,19 @@ def dispatch(command, cfg, jobs=1, outdir=None, seed=0):
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(outdir) if outdir is not None else Path(cfg.directory)
+    # unreadable or malformed input files are input errors, like a bad config
+    try:
+        scenario = build_scenario(cfg)
+    except (OSError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     if command == "simulate":
-        return _cmd_simulate(cfg, out, jobs, seed)
+        return _cmd_simulate(cfg, scenario, out, jobs, seed)
     if command.startswith("study-"):
-        return _cmd_study(cfg, command.split("-", 1)[1], out, jobs, seed)
+        return _cmd_study(cfg, scenario, command.split("-", 1)[1], out, jobs, seed)
     if command == "validate":
-        return _cmd_validate(cfg, out if outdir is not None else None, jobs, seed)
-    return _cmd_check_identities(cfg, out, jobs, seed)
+        return _cmd_validate(cfg, scenario, out if outdir is not None else None, jobs, seed)
+    return _cmd_check_identities(cfg, scenario, out, jobs, seed)
 
 
 def main(argv=None):

@@ -6,6 +6,11 @@ second order, exactly symmetric, and summation by parts holds at machine
 precision: (-lap u, w)_h equals the face-difference inner product. That
 exactness is what makes the scheme's energy telescoping and mass bookkeeping
 identities hold discretely instead of merely up to truncation error.
+
+The stencil lives in one private function on plain arrays, which
+:func:`laplacian_apply` wraps and the solvers in ``elliptic`` use for their
+residual checks. Its eigenvectors are the cosines cos(pi*k*(i + 1/2)/n) of
+the DCT-II basis, which is how ``elliptic`` inverts it.
 """
 
 import csv
@@ -45,7 +50,6 @@ class Grid:
         self.cell_volume = self.dx**self.d
         self.axis = (np.arange(self.n) + 0.5) * self.dx
         self.axis.setflags(write=False)
-        self._ops = {}  # lazy operator/factorization cache; not part of state
 
     def coords(self):
         """Cell-center coordinate arrays, one per axis, each of shape ``self.shape``."""
@@ -56,12 +60,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(d={self.d}, n={self.n})"
-
-    # splu factorizations in the cache are not picklable; rebuild lazily
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_ops"] = {}
-        return state
 
 
 def make_grid(d, n):
@@ -129,6 +127,20 @@ def _same_grid(g, *fields):
             raise ValueError(f"grid mismatch: {g} vs {f.grid}")
 
 
+def _laplacian(v, dx):
+    # the one stencil implementation, on grid-shaped arrays (1D or 2D); the
+    # ghost layer is filled by hand because np.pad costs more than the stencil
+    p = np.empty(tuple(k + 2 for k in v.shape))
+    p[(slice(1, -1),) * v.ndim] = v
+    if v.ndim == 1:
+        p[0], p[-1] = v[0], v[-1]
+        lap = p[:-2] + p[2:] - 2.0 * v
+    else:
+        p[0, 1:-1], p[-1, 1:-1], p[1:-1, 0], p[1:-1, -1] = v[0], v[-1], v[:, 0], v[:, -1]
+        lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * v
+    return lap / dx**2
+
+
 def laplacian_apply(g, u):
     """Second-order Laplacian with mirror ghosts (zero-flux closure).
 
@@ -136,13 +148,7 @@ def laplacian_apply(g, u):
     telescoping sum, hence zero up to accumulation roundoff.
     """
     _same_grid(g, u)
-    v = u.values
-    p = np.pad(v, 1, mode="edge")
-    if g.d == 1:
-        lap = p[:-2] + p[2:] - 2.0 * v
-    else:
-        lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * v
-    return Field(g, lap / g.dx**2)
+    return Field(g, _laplacian(u.values, g.dx))
 
 
 def _head(a, axis):
@@ -231,6 +237,8 @@ def load_field_csv(g, path):
         rows = [[float(x) for x in row] for row in reader if row]
     if len(rows) != g.node_count:
         raise ValueError(f"expected {g.node_count} rows, found {len(rows)}")
+    if any(len(row) != g.d + 1 for row in rows):
+        raise ValueError(f"every row must hold {g.d + 1} values")
     data = np.asarray(rows)
     coords = [c.ravel() for c in g.coords()]
     for axis in range(g.d):

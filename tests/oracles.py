@@ -2,9 +2,9 @@
 
 Nothing in here touches the solver paths it is used to check: eigenvalues
 come from the stencil symbol, mode recurrences from per-step 2x2 solves of
-the coupled equations restricted to one eigenvector, the linear step
-solution from a dense reformulation assembled with plain numpy, and closed
-forms from direct antiderivatives.
+the coupled equations restricted to one eigenvector, the linear and 2D
+power-graph step solutions from a dense reformulation assembled with plain
+numpy, and closed forms from direct antiderivatives.
 """
 
 import numpy as np
@@ -62,6 +62,13 @@ def dense_neumann_laplacian(n):
     return lap * n**2
 
 
+def dense_neumann_laplacian_2d(n):
+    """Dense 2D mirror-ghost Laplacian on C-order flattened fields (Kronecker sum)."""
+    lap = dense_neumann_laplacian(n)
+    eye = np.eye(n)
+    return np.kron(lap, eye) + np.kron(eye, lap)
+
+
 def linear_step_solution(n, lam, eps, h, rhs):
     """Independent route to the linear-graph step equation.
 
@@ -80,3 +87,25 @@ def abs_logit_primitive_closed(r):
     x = np.abs(np.asarray(r, dtype=float))
     core = np.log1p(x) - np.log1p(-x)
     return (x * x - 1.0) / 2.0 * core + x
+
+
+def power_step_solution_2d(n, lam, eps, h, m, rhs, tol=1e-14, max_iter=100):
+    """Independent route to the 2D step equation with beta(u) = sign(u)|u|^m.
+
+    As in :func:`linear_step_solution`, the equation is multiplied through
+    by (I - Lap), leaving F(u) = (I - Lap)(lam*u - eps*h*Lap u + h*beta(u))
+    + u - (I - Lap) rhs = 0, which plain undamped Newton solves from u = 0
+    with dense numpy linear algebra.
+    """
+    lap = dense_neumann_laplacian_2d(n)
+    eye = np.eye(n * n)
+    shifted = eye - lap
+    b = shifted @ np.ravel(rhs)
+    u = np.zeros(n * n)
+    for _ in range(max_iter):
+        f = shifted @ (lam * u - eps * h * (lap @ u) + h * np.sign(u) * np.abs(u) ** m) + u - b
+        if np.linalg.norm(f) <= tol * max(1.0, np.linalg.norm(b)):
+            return u.reshape(n, n)
+        jac = shifted @ (lam * eye - eps * h * lap + np.diag(h * m * np.abs(u) ** (m - 1))) + eye
+        u = u - np.linalg.solve(jac, f)
+    raise RuntimeError("dense Newton reference did not converge")

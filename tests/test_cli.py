@@ -195,3 +195,44 @@ def test_csv_initial_and_series_source(tmp_path):
     assert sc.source.kind == "g"
     out = tmp_path / "run"
     assert dispatch("simulate", cfg, outdir=out) == 0
+
+
+def _series_config(tmp_path, series_path):
+    conf = tmp_path / "series.ini"
+    conf.write_text(
+        RUNNABLE.replace("n = 48", "n = 16").replace(
+            "[source]\npreset = zero", f"[source]\npreset = csv-series\nrole = g\npath = {series_path}"
+        )
+    )
+    return conf
+
+
+@pytest.mark.parametrize("node", [-1, 99])
+def test_main_csv_series_node_out_of_range_exit_two(tmp_path, capsys, node):
+    # a 16-node grid: -1 must not wrap to the last node, 99 must not escape as IndexError
+    series = tmp_path / "g.csv"
+    series.write_text(f"t,node,value\n0.0,3,0.5\n0.0,{node},-0.5\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(_series_config(tmp_path, series)), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "input error" in err and f"node {node}" in err
+
+
+def test_main_missing_csv_series_exit_two(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    code = main(["validate", "--config", str(_series_config(tmp_path, missing))])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_simulate_1d_n512_logit_cosine_completes(tmp_path):
+    # without the refinement round in the spectral shifted solve this run
+    # fails its residual check (about 1.8e-10 against a limit near 7e-11)
+    text = (
+        RUNNABLE.replace("n = 48", "n = 512")
+        .replace("family = power\nm = 3\nc1 = 0.25\nc2 = 0", "family = logit")
+        .replace("k = 1\n", "k = 1\namplitude = 0.9\n")
+    )
+    assert dispatch("simulate", parse_config(text), outdir=tmp_path / "run") == 0

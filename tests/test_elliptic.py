@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chemhill.elliptic as elliptic
 
 from chemhill.elliptic import (
     CompatibilityError,
+    SolverFailure,
     SolverOptions,
     StepFailure,
     helmholtz_solve,
@@ -128,6 +133,30 @@ def test_step_solve_matches_independent_linear_route():
     assert np.max(np.abs(u.values - want)) <= 1e-9
 
 
+def test_step_solve_matches_dense_power_oracle_2d():
+    # the matrix-free Newton direction against a dense Newton that shares no code with it
+    g = make_grid(2, 8)
+    params = _params(N=100)
+    rng = np.random.default_rng(11)
+    rhs_vals = rng.standard_normal(g.shape)
+    opts = SolverOptions(newton_tol=1e-13)
+    u = step_solve(
+        g, params, BetaSpec("power", m=3), PiSpec("zero"), Field(g, rhs_vals), Field(g, np.zeros(g.shape)), opts
+    )
+    want = oracles.power_step_solution_2d(g.n, params.lam, params.eps, params.h, 3, rhs_vals)
+    assert np.max(np.abs(u.values - want)) <= 1e-9
+
+
+def test_step_solve_unconverged_direction_raises(monkeypatch):
+    # a Newton direction that misses its CG tolerance is never used
+    monkeypatch.setattr(elliptic, "_PCG_RTOL", 0.0)
+    g = make_grid(1, 16)
+    rhs = Field(g, np.cos(np.pi * g.axis))
+    with pytest.raises(StepFailure, match="Newton direction CG") as info:
+        step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, Field(g, np.zeros(g.shape)))
+    assert info.value.residual is not None
+
+
 @pytest.mark.parametrize("family", ["power", "logit"])
 def test_step_solve_warm_start_independence(family):
     g = make_grid(1, 32)
@@ -195,3 +224,39 @@ def test_pt_pairing_linear_graph_closed_form():
     pairing = inner_h(-1.0 * laplacian_apply(g, u), bt)
     assert pairing == pytest.approx(seminorm_v(u) ** 2 / (1.0 + tau), rel=1e-12)
     assert pairing >= 0.0
+
+
+# 1D stops at n=512: beyond it the shifted-solve check fails on roundoff
+# alone, see test_helmholtz_residual_check_ignores_operator_norm
+_SPECTRAL_SIZES = [(1, 16), (1, 128), (1, 512), (2, 8), (2, 64), (2, 256)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from(_SPECTRAL_SIZES),
+    alpha=st.sampled_from([0.1, 1.0]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_solves_meet_stencil_residual_checks(size, alpha, scale, seed):
+    d, n = size
+    g = make_grid(d, n)
+    opts = SolverOptions()
+    b = scale * np.random.default_rng(seed).standard_normal(g.shape)
+    w = helmholtz_solve(g, Field(g, b), opts, alpha=alpha)
+    res = b - (w.values - alpha * laplacian_apply(g, w).values)
+    assert np.linalg.norm(res) <= opts.lin_tol * max(1.0, np.linalg.norm(b))
+    b0 = b - b.mean()
+    f = neumann_poisson_solve(g, Field(g, b0), opts)
+    res = b0 + laplacian_apply(g, f).values
+    assert np.linalg.norm(res) <= opts.lin_tol * np.linalg.norm(b0)
+    assert abs(mean(f)) <= 1e-14 * max(1.0, np.max(np.abs(f.values)))
+
+
+@pytest.mark.xfail(strict=True, raises=SolverFailure, reason="known defect: lin_tol*max(1,|b|) ignores |Lap|")
+def test_helmholtz_residual_check_ignores_operator_norm():
+    # evaluating b - (x - Lap x) costs about 1e-16 * 4/dx^2 * |x| in roundoff,
+    # which exceeds lin_tol * |b| for white noise on 1D n=1024 (seed 7: 5.6e-10)
+    g = make_grid(1, 1024)
+    b = np.random.default_rng(7).standard_normal(g.shape)
+    helmholtz_solve(g, Field(g, b))
