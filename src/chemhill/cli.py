@@ -368,13 +368,15 @@ def _render_metadata(cfg, extra):
 # commands
 
 
-def _cmd_simulate(cfg, scenario, outdir, jobs, seed):
+def _cmd_simulate(cfg, scenario, outdir):
     opts = cfg.solver_options()
     try:
         traj = run(scenario, opts)
     except SolverFailure as exc:
-        idx = getattr(exc, "step_index", "?")
-        print(f"simulate failed at step {idx}: {exc}")
+        if exc.step_index is None:
+            print(f"simulate failed during set-up: {exc}")
+        else:
+            print(f"simulate failed at step {exc.step_index}: {exc}")
         return 1
     except ValueError as exc:
         print(f"simulate rejected: {exc}")
@@ -395,7 +397,7 @@ def _cmd_simulate(cfg, scenario, outdir, jobs, seed):
     return 0
 
 
-def _cmd_study(cfg, scenario, axis, outdir, jobs, seed):
+def _cmd_study(cfg, scenario, axis, outdir, jobs):
     opts = cfg.solver_options()
     if axis == "h":
         levels = [int(x) for x in (cfg.h_levels or (cfg.N, 2 * cfg.N, 4 * cfg.N))]
@@ -416,7 +418,7 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs, seed):
     return 0 if report.failed_level is None else 1
 
 
-def _cmd_validate(cfg, scenario, outdir, jobs, seed):
+def _cmd_validate(cfg, scenario, outdir, seed):
     probes = []
     if scenario.source is not None and scenario.source.kind == "g":
         probes = average_sources(scenario.source, scenario.params, scenario.grid)
@@ -429,7 +431,7 @@ def _cmd_validate(cfg, scenario, outdir, jobs, seed):
     return 0 if report.passed else 1
 
 
-def _cmd_check_identities(cfg, scenario, outdir, jobs, seed):
+def _cmd_check_identities(cfg, scenario):
     # short run at the configured step size with tightened solves: the
     # identities are exact, so any slack beyond roundoff is a defect
     n_short = min(cfg.N, 16)
@@ -465,12 +467,12 @@ def dispatch(command, cfg, jobs=1, outdir=None, seed=0):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if command == "simulate":
-        return _cmd_simulate(cfg, scenario, out, jobs, seed)
+        return _cmd_simulate(cfg, scenario, out)
     if command.startswith("study-"):
-        return _cmd_study(cfg, scenario, command.split("-", 1)[1], out, jobs, seed)
+        return _cmd_study(cfg, scenario, command.split("-", 1)[1], out, jobs)
     if command == "validate":
-        return _cmd_validate(cfg, scenario, out if outdir is not None else None, jobs, seed)
-    return _cmd_check_identities(cfg, scenario, out, jobs, seed)
+        return _cmd_validate(cfg, scenario, out if outdir is not None else None, seed)
+    return _cmd_check_identities(cfg, scenario)
 
 
 def main(argv=None):

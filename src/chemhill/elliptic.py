@@ -28,8 +28,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; kept as the attribute elliptic.sla, which perfbench/tracing.py patches
-import scipy.sparse.linalg as sla  # noqa: F401
 from scipy.fft import dctn, idctn
 
 from . import nonlinearity as nl
@@ -47,8 +45,28 @@ __all__ = [
     "v0star_norm",
     "step_solve",
 ]
+
+
+def __getattr__(name):
+    # the solver uses no sparse linear algebra; ``elliptic.sla`` stays readable
+    # for perfbench/tracing.py, which patches it, and loads scipy.sparse only then
+    if name == "sla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class SolverFailure(RuntimeError):
-    """A linear or nonlinear solve missed its tolerance."""
+    """A linear or nonlinear solve missed its tolerance.
+
+    When the failure happens inside a time step, the marching loop attaches
+    ``step_index`` and the partial trajectory; both stay None for a failure
+    in set-up (datum smoothing, source potentials) or outside a run.
+    """
+
+    step_index = None
+    trajectory = None
 
     def __init__(self, message, residual=None, history=None):
         super().__init__(message)
@@ -57,13 +75,7 @@ class SolverFailure(RuntimeError):
 
 
 class StepFailure(SolverFailure):
-    """Per-step nonlinear solve failed; carries the residual history.
-
-    The marching loop attaches ``step_index`` and the partial trajectory.
-    """
-
-    step_index = None
-    trajectory = None
+    """Per-step nonlinear solve failed; carries the residual history."""
 
 
 class CompatibilityError(ValueError):

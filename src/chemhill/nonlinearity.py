@@ -7,7 +7,14 @@ Four graph families are supported, all nondecreasing with value 0 at 0:
     logit       beta(r) = ln((1+r)/(1-r))       on (-1, 1)
     abs_logit   beta(r) = |r| ln((1+r)/(1-r))   on (-1, 1)
 
-Each has a convex primitive with beta = primitive', primitive(0) = 0.
+Each has a closed-form convex primitive with beta = primitive',
+primitive(0) = 0:
+
+    linear      r^2 / 2
+    power       |r|^(m+1) / (m+1)
+    logit       (1+r) ln(1+r) + (1-r) ln(1-r)
+    abs_logit   |r| - (1 - r^2)/2 * ln((1+|r|)/(1-|r|))
+
 The resolvent r + tau*beta(r) = s and the induced Lipschitz regularization
 (r - resolvent(r))/tau are defined on all of R even when the graph domain
 is bounded, which is what lets the step solver iterate freely before the
@@ -17,11 +24,9 @@ The perturbation family pi is anti-monotone and Lipschitz with the budget
 |pi(0)| + sup|pi'| <= c3*eps.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import xlogy
 
 from .grid import mean
@@ -165,30 +170,6 @@ def beta_prime(b, r):
     return _ret(out, scalar)
 
 
-_ABS_LOGIT_CACHE = {}
-
-
-def _abs_logit_primitive(x):
-    # adaptive quadrature of s*ln((1+s)/(1-s)) from 0, cached per abscissa;
-    # the integrand is Lipschitz on [0, x] for any x < 1, but within ~1e-9 of
-    # the endpoint the extrapolation is roundoff-limited and warns even
-    # though the returned value is far inside the diagnostic tolerance
-    val = _ABS_LOGIT_CACHE.get(x)
-    if val is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(
-                lambda s: s * (np.log1p(s) - np.log1p(-s)),
-                0.0,
-                x,
-                epsabs=1e-12,
-                epsrel=1e-11,
-                limit=200,
-            )
-        _ABS_LOGIT_CACHE[x] = val
-    return val
-
-
 def beta_hat_eval(b, r):
     """Convex primitive of the graph, normalized to 0 at 0."""
     arr, scalar = _as_array(r)
@@ -200,8 +181,10 @@ def beta_hat_eval(b, r):
     elif b.family == "logit":
         out = xlogy(1.0 + arr, 1.0 + arr) + xlogy(1.0 - arr, 1.0 - arr)
     else:
-        flat = np.abs(arr).reshape(-1)
-        out = np.array([_abs_logit_primitive(x) for x in flat]).reshape(arr.shape)
+        # r + (r^2 - 1)/2 * ln((1+r)/(1-r)) on |r|; the factored 1 - r^2 keeps
+        # full precision at the endpoints, where (1-a)*log1p(-a) tends to 0
+        a = np.abs(arr)
+        out = a - 0.5 * (1.0 - a) * (1.0 + a) * _logit(a)
     return _ret(out, scalar)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elliptic import SolverOptions, StepFailure, helmholtz_solve, source_potential
+from .elliptic import SolverFailure, SolverOptions, helmholtz_solve, source_potential, step_solve
 from .grid import Field, advective_divergence, inner_h
 from .nonlinearity import validate_assumptions
 
@@ -99,7 +99,11 @@ class SimParams:
 
 @dataclass
 class StepState:
-    """State after step n: density u, potential mu, chemotaxis potential v."""
+    """State after step n: density u, potential mu, chemotaxis potential v.
+
+    Invariant: v = K u with K = (I - Lap)^(-1), i.e. ``helmholtz_solve(grid, u)``;
+    ``run`` and ``step`` build every state that way and ``step`` relies on it.
+    """
 
     n: int
     u: Field
@@ -157,24 +161,26 @@ def average_sources(provider, params, grid):
 
 
 def step(prev, f_next, params, b, p, opts=None):
-    """Advance one level; raises StepFailure (with step index) on solver failure."""
-    from .elliptic import step_solve
+    """Advance one level; raises SolverFailure (with step index) on solver failure.
 
+    ``prev.v`` serves as K u_n on the right-hand side, so it must be
+    ``helmholtz_solve(grid, prev.u)`` (the StepState invariant); the shifted
+    solves are deterministic, so this equals recomputing it bit for bit.
+    """
     opts = opts or SolverOptions()
     g = prev.u.grid
     h, lam = params.h, params.lam
-    adv = params.eta * advective_divergence(g, prev.u, prev.v)
-    k_u = helmholtz_solve(g, prev.u, opts)
-    k_mu = helmholtz_solve(g, prev.mu, opts)
-    k_adv = helmholtz_solve(g, adv, opts)
-    rhs = h * f_next + lam * prev.u + k_u + h * k_mu - h * k_adv
     try:
+        adv = params.eta * advective_divergence(g, prev.u, prev.v)
+        k_mu = helmholtz_solve(g, prev.mu, opts)
+        k_adv = helmholtz_solve(g, adv, opts)
+        rhs = h * f_next + lam * prev.u + prev.v + h * k_mu - h * k_adv
         u_next = step_solve(g, params, b, p, rhs, warm=prev.u, opts=opts)
-    except StepFailure as exc:
+        mu_next = helmholtz_solve(g, prev.mu - (u_next - prev.u) / h - adv, opts)
+        v_next = helmholtz_solve(g, u_next, opts)
+    except SolverFailure as exc:
         exc.step_index = prev.n
         raise
-    mu_next = helmholtz_solve(g, prev.mu - (u_next - prev.u) / h - adv, opts)
-    v_next = helmholtz_solve(g, u_next, opts)
     return StepState(prev.n + 1, u_next, mu_next, v_next)
 
 
@@ -214,7 +220,7 @@ def run(scenario, opts=None):
     for k in range(params.N):
         try:
             state = step(state, f_fields[k], params, scenario.beta, scenario.pi, opts)
-        except StepFailure as exc:
+        except SolverFailure as exc:
             exc.trajectory = Trajectory(states, params, f_fields)
             raise
         states.append(state)
@@ -286,22 +292,11 @@ class InterpolantView:
     def u_under(self, t):
         return self._u[self._left_index(t)]
 
-    def f_bar(self, t):
-        return self.traj.sources[self._right_index(t) - 1]
-
-    # exact per-interval segment endpoints (each reconstruction is linear
+    # exact per-interval segment endpoints (the reconstruction is linear
     # in t between breakpoints, so these carry the full information)
     def hat_segments(self, which="u"):
         seq = self._u if which == "u" else self._mu
         return [(seq[n], seq[n + 1]) for n in range(self.params.N)]
-
-    def bar_segments(self, which="u"):
-        seq = self._u if which == "u" else self._mu
-        return [(seq[n + 1], seq[n + 1]) for n in range(self.params.N)]
-
-    def under_segments(self, which="u"):
-        seq = self._u if which == "u" else self._mu
-        return [(seq[n], seq[n]) for n in range(self.params.N)]
 
     def dot_fields(self, which="u"):
         """Time derivative of the linear reconstruction, constant per interval."""
@@ -331,19 +326,20 @@ def time_l2_sq(segments, h, ip=inner_h):
 
 
 def save_trajectory_csv(traj, path, stride=1):
-    """Write snapshots as rows time,node,u,mu,v (flat node index)."""
+    """Write snapshots as rows time,node,u,mu,v (flat node index).
+
+    Every stride-th level and the final one are written; values are
+    ``.17g`` (exact float64 round trip) and lines end in CRLF, as a
+    ``csv.writer`` in its default dialect writes them.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "node", "u", "mu", "v"])
+        fh.write("time,node,u,mu,v\r\n")
         for s in traj.states:
             if s.n % stride and s.n != traj.params.N:
                 continue
-            t = s.n * traj.params.h
-            uf, mf, vf = s.u.values.ravel(), s.mu.values.ravel(), s.v.values.ravel()
-            for j in range(uf.size):
-                writer.writerow(
-                    [f"{t:.17g}", j, f"{uf[j]:.17g}", f"{mf[j]:.17g}", f"{vf[j]:.17g}"]
-                )
+            t = f"{s.n * traj.params.h:.17g}"
+            rows = zip(*(f.values.ravel().tolist() for f in (s.u, s.mu, s.v)))
+            fh.write("".join(f"{t},{j},{a:.17g},{b:.17g},{c:.17g}\r\n" for j, (a, b, c) in enumerate(rows)))
 
 
 def load_trajectory_csv(path, grid, params):

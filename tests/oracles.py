@@ -4,8 +4,12 @@ Nothing in here touches the solver paths it is used to check: eigenvalues
 come from the stencil symbol, mode recurrences from per-step 2x2 solves of
 the coupled equations restricted to one eigenvector, the linear and 2D
 power-graph step solutions from a dense reformulation assembled with plain
-numpy, and closed forms from direct antiderivatives.
+numpy, closed forms from direct antiderivatives, and CSV bytes from the
+standard ``csv`` module.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -109,3 +113,18 @@ def power_step_solution_2d(n, lam, eps, h, m, rhs, tol=1e-14, max_iter=100):
         jac = shifted @ (lam * eye - eps * h * lap + np.diag(h * m * np.abs(u) ** (m - 1))) + eye
         u = u - np.linalg.solve(jac, f)
     raise RuntimeError("dense Newton reference did not converge")
+
+
+def trajectory_csv_bytes(traj, stride=1):
+    """Trajectory CSV written row by row through ``csv.writer`` (default dialect)."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["time", "node", "u", "mu", "v"])
+    for s in traj.states:
+        if s.n % stride and s.n != traj.params.N:
+            continue
+        t = s.n * traj.params.h
+        uf, mf, vf = s.u.values.ravel(), s.mu.values.ravel(), s.v.values.ravel()
+        for j in range(uf.size):
+            writer.writerow([f"{t:.17g}", j, f"{uf[j]:.17g}", f"{mf[j]:.17g}", f"{vf[j]:.17g}"])
+    return buf.getvalue().encode()

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chemhill.scheme
 from chemhill.cli import ConfigError, build_scenario, dispatch, main, parse_config
+from chemhill.elliptic import SolverFailure
 from chemhill.grid import load_field_csv, make_grid
 
 MINIMAL = """
@@ -236,3 +243,47 @@ def test_simulate_1d_n512_logit_cosine_completes(tmp_path):
         .replace("k = 1\n", "k = 1\namplitude = 0.9\n")
     )
     assert dispatch("simulate", parse_config(text), outdir=tmp_path / "run") == 0
+
+
+def _fail_shifted_solves_after(monkeypatch, n_ok):
+    real = chemhill.scheme.helmholtz_solve
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > n_ok:
+            raise SolverFailure("shifted Neumann solve residual 1.000e-03 exceeds tolerance")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chemhill.scheme, "helmholtz_solve", solve)
+
+
+def test_simulate_setup_failure_reported_as_setup(tmp_path, monkeypatch, capsys):
+    _fail_shifted_solves_after(monkeypatch, 0)
+    code = dispatch("simulate", parse_config(RUNNABLE), outdir=tmp_path / "run")
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "simulate failed during set-up: shifted Neumann solve" in out
+    assert "step" not in out
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_shifted_solve_failure_in_step_reports_step(tmp_path, monkeypatch, capsys):
+    # one shifted solve builds v_0 (smoothing is off), the next ones are step 0's
+    _fail_shifted_solves_after(monkeypatch, 1)
+    assert dispatch("simulate", parse_config(RUNNABLE), outdir=tmp_path / "run") == 1
+    assert "simulate failed at step 0: shifted Neumann solve" in capsys.readouterr().out
+
+
+def test_cli_import_loads_only_the_scipy_it_uses():
+    src = str(Path(chemhill.__file__).resolve().parents[1])
+    probe = (
+        "import sys, chemhill.cli\n"
+        "heavy = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "import scipy.sparse.linalg, chemhill.elliptic\n"
+        "assert chemhill.elliptic.sla is scipy.sparse.linalg\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

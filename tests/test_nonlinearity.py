@@ -57,6 +57,20 @@ def test_abs_logit_primitive_matches_closed_form():
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def test_abs_logit_primitive_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    b = BetaSpec("abs_logit")
+    top = np.nextafter(1.0, 0.0)
+    special = [0.0, 1e-8, -1e-8, 1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-9, top, -top]
+    r = np.concatenate([special, np.linspace(-top, top, 2001)])
+    got = beta_hat_eval(b, r)
+    with mpmath.workdps(40):
+        for x, value in zip(r, got):
+            a = abs(mpmath.mpf(float(x)))
+            want = a + (a * a - 1) / 2 * mpmath.log((1 + a) / (1 - a))
+            assert abs(value - want) <= 4e-16 * max(1.0, want), x
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_primitive_slope_reproduces_graph(family):
     b = BetaSpec(family)

@@ -263,6 +263,25 @@ def test_trajectory_csv_round_trip(tmp_path, short_traj):
         assert np.array_equal(a.v.values, b.v.values)
 
 
+def test_trajectory_csv_bytes_match_csv_writer_oracle(tmp_path):
+    # stride 3 on N = 5 writes levels 0 and 3 plus the forced final level
+    g = make_grid(2, 4)
+    params = SimParams(eps=0.1, lam=0.05, N=5, T=0.05)
+    rng = np.random.default_rng(11)
+    states = []
+    for n in range(params.N + 1):
+        u, mu, v = rng.standard_normal((3, *g.shape)) * 10.0 ** rng.integers(-20, 20, (3, *g.shape))
+        u[0, 0], mu[0, 1], v[1, 0] = -0.0, 1e-300, -1e-300
+        states.append(StepState(n, Field(g, u), Field(g, mu), Field(g, v)))
+    traj = Trajectory(states, params)
+    for stride in (1, 3):
+        path = tmp_path / f"traj{stride}.csv"
+        save_trajectory_csv(traj, path, stride=stride)
+        assert path.read_bytes() == oracles.trajectory_csv_bytes(traj, stride=stride)
+    times = {line.split(",")[0] for line in (tmp_path / "traj3.csv").read_text().splitlines()[1:]}
+    assert len(times) == 3
+
+
 def test_two_dimensional_run_conserves_mass():
     g = make_grid(2, 12)
     params = SimParams(eps=0.2, lam=0.05, N=4, T=0.05, eta=0.3)
