@@ -27,7 +27,6 @@ The perturbation family pi is anti-monotone and Lipschitz with the budget
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .grid import mean
 
@@ -179,7 +178,9 @@ def beta_hat_eval(b, r):
     elif b.family == "power":
         out = np.abs(arr) ** (b.m + 1.0) / (b.m + 1.0)
     elif b.family == "logit":
-        out = xlogy(1.0 + arr, 1.0 + arr) + xlogy(1.0 - arr, 1.0 - arr)
+        # log1p keeps the relative accuracy of ln(1 +- r) near r = 0; the
+        # domain check has already excluded the endpoints, where 0*ln(0) appears
+        out = (1.0 + arr) * np.log1p(arr) + (1.0 - arr) * np.log1p(-arr)
     else:
         # r + (r^2 - 1)/2 * ln((1+r)/(1-r)) on |r|; the factored 1 - r^2 keeps
         # full precision at the endpoints, where (1-a)*log1p(-a) tends to 0
@@ -212,10 +213,12 @@ def resolvent(b, tau, s, method="newton"):
         fallback; "bisect" is plain bisection, kept as an independent
         cross-check of the fast path.
 
-    The residual is driven below 1e-13 * max(1, |s|). For bounded families
-    the iterate is clamped to the largest representable open interval; for
-    |s| so large that the true root is closer to an endpoint than one ulp,
-    the clamped endpoint is returned.
+    The residual is driven below 1e-13 * max(1, |s|) or, on a graph too
+    steep for the residual to resolve that, the root is located to within
+    4*eps*max(1, |r|). For bounded families the iterate is clamped to the
+    largest representable open interval; for |s| so large that the true
+    root is closer to an endpoint than one ulp, the clamped endpoint is
+    returned.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")

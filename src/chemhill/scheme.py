@@ -332,14 +332,19 @@ def save_trajectory_csv(traj, path, stride=1):
     ``.17g`` (exact float64 round trip) and lines end in CRLF, as a
     ``csv.writer`` in its default dialect writes them.
     """
+    count = traj.states[0].u.grid.node_count
+    # one row line per node, so each snapshot is a single % over 4*count values
+    template = "".join(f"%s,{j},%.17g,%.17g,%.17g\r\n" for j in range(count))
     with open(path, "w", newline="") as fh:
         fh.write("time,node,u,mu,v\r\n")
         for s in traj.states:
             if s.n % stride and s.n != traj.params.N:
                 continue
-            t = f"{s.n * traj.params.h:.17g}"
-            rows = zip(*(f.values.ravel().tolist() for f in (s.u, s.mu, s.v)))
-            fh.write("".join(f"{t},{j},{a:.17g},{b:.17g},{c:.17g}\r\n" for j, (a, b, c) in enumerate(rows)))
+            args = [f"{s.n * traj.params.h:.17g}"] * (4 * count)
+            args[1::4] = s.u.values.ravel().tolist()
+            args[2::4] = s.mu.values.ravel().tolist()
+            args[3::4] = s.v.values.ravel().tolist()
+            fh.write(template % tuple(args))
 
 
 def load_trajectory_csv(path, grid, params):

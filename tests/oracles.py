@@ -4,14 +4,15 @@ Nothing in here touches the solver paths it is used to check: eigenvalues
 come from the stencil symbol, mode recurrences from per-step 2x2 solves of
 the coupled equations restricted to one eigenvector, the linear and 2D
 power-graph step solutions from a dense reformulation assembled with plain
-numpy, closed forms from direct antiderivatives, and CSV bytes from the
-standard ``csv`` module.
+numpy, closed forms from direct antiderivatives, CSV bytes from the
+standard ``csv`` module, and DCT-diagonal operators from ``scipy.fft``.
 """
 
 import csv
 import io
 
 import numpy as np
+from scipy.fft import dctn, idctn
 
 
 def mode_eigenvalue(n, k):
@@ -84,6 +85,11 @@ def linear_step_solution(n, lam, eps, h, rhs):
     shifted = eye - lap
     a_lin = lam * eye - eps * h * lap + h * eye
     return np.linalg.solve(shifted @ a_lin + eye, shifted @ rhs)
+
+
+def dct_diagonal_apply(values, mult):
+    """Multiply by ``mult`` on the orthonormal DCT-II modes, through scipy.fft's DCTs."""
+    return idctn(dctn(values, norm="ortho") * mult, norm="ortho")
 
 
 def abs_logit_primitive_closed(r):

@@ -275,12 +275,26 @@ def test_simulate_shifted_solve_failure_in_step_reports_step(tmp_path, monkeypat
     assert "simulate failed at step 0: shifted Neumann solve" in capsys.readouterr().out
 
 
-def test_cli_import_loads_only_the_scipy_it_uses():
+def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
+    # the CLI uses no SciPy at all: not on import, not in a 2D simulate, a 1D
+    # study or a validation; only reading elliptic.sla loads scipy.sparse
     src = str(Path(chemhill.__file__).resolve().parents[1])
+    conf_2d = tmp_path / "sim.ini"
+    conf_2d.write_text(RUNNABLE.replace("d = 1\nn = 48", "d = 2\nn = 12"))
+    conf_1d = tmp_path / "study.ini"
+    conf_1d.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
     probe = (
         "import sys, chemhill.cli\n"
-        "heavy = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules]\n"
-        "assert not heavy, heavy\n"
+        "def check(stage):\n"
+        "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "    assert not loaded, (stage, loaded[:5])\n"
+        "check('import')\n"
+        f"assert chemhill.cli.main(['simulate', '--config', {str(conf_2d)!r}, '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+        "check('simulate')\n"
+        f"assert chemhill.cli.main(['study-h', '--config', {str(conf_1d)!r}, '--out', {str(tmp_path / 'study')!r}]) == 0\n"
+        "check('study-h')\n"
+        f"assert chemhill.cli.main(['validate', '--config', {str(conf_1d)!r}]) == 0\n"
+        "check('validate')\n"
         "import scipy.sparse.linalg, chemhill.elliptic\n"
         "assert chemhill.elliptic.sla is scipy.sparse.linalg\n"
     )

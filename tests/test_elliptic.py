@@ -10,6 +10,9 @@ from chemhill.elliptic import (
     SolverFailure,
     SolverOptions,
     StepFailure,
+    _dct_apply,
+    _dct_matrix,
+    _eigenvalues,
     helmholtz_solve,
     neumann_poisson_solve,
     source_potential,
@@ -260,3 +263,37 @@ def test_helmholtz_residual_check_ignores_operator_norm():
     g = make_grid(1, 1024)
     b = np.random.default_rng(7).standard_normal(g.shape)
     helmholtz_solve(g, Field(g, b))
+
+
+def _multiplier(kind, d, n):
+    ev = _eigenvalues(d, n)
+    if kind == "shifted":
+        return 1.0 / (1.0 - ev)
+    if kind == "poisson":
+        return np.divide(-1.0, ev, out=np.zeros_like(ev), where=ev != 0.0)
+    return np.random.default_rng(n).standard_normal(ev.shape)
+
+
+@pytest.mark.parametrize("kind", ["shifted", "poisson", "random"])
+@pytest.mark.parametrize(
+    "d,n", [(1, 4), (1, 5), (1, 7), (1, 64), (1, 255), (1, 256), (1, 1024), (2, 4), (2, 5), (2, 48), (2, 64), (2, 128)]
+)
+def test_dct_apply_matches_scipy_oracle(d, n, kind):
+    mult = _multiplier(kind, d, n)
+    x = np.random.default_rng(d * 10_000 + n).standard_normal((n,) * d)
+    got = _dct_apply(x, mult)
+    want = oracles.dct_diagonal_apply(x, mult)
+    # both sides are orthogonal transforms, backward stable to a few ulps
+    # times log2(2n) (FFT of length 2n) or n (dense products of length n)
+    growth = np.log2(2 * n) if d == 1 else n
+    tol = 8 * np.finfo(float).eps * growth * np.max(np.abs(mult)) * np.linalg.norm(x)
+    assert got.shape == x.shape
+    assert np.linalg.norm(got - want) <= tol
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 48, 64, 128, 255])
+def test_dct_matrix_is_orthonormal(n):
+    c = _dct_matrix(n)
+    assert not c.flags.writeable
+    assert np.max(np.abs(c @ c.T - np.eye(n))) <= 1e-14
+    assert np.max(np.abs(c.T @ c - np.eye(n))) <= 1e-14

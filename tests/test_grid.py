@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemhill.grid import (
     Field,
@@ -174,3 +176,43 @@ def test_field_csv_rejects_wrong_grid(tmp_path):
     save_field_csv(u, path)
     with pytest.raises(ValueError):
         load_field_csv(make_grid(1, 16), path)
+
+
+_EPS = np.finfo(float).eps
+_PROPERTY_GRIDS = st.sampled_from([(1, 4), (1, 5), (1, 33), (1, 256), (2, 4), (2, 7), (2, 32), (2, 64)])
+_SCALES = st.sampled_from([1e-6, 1.0, 1e6])
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=_PROPERTY_GRIDS, su=_SCALES, sw=_SCALES, seed=st.integers(0, 2**32 - 1))
+def test_summation_by_parts(size, su, sw, seed):
+    # (-Lap u, w)_h equals the inner product of face differences over the
+    # interior faces: the mirror ghosts contribute no boundary term
+    d, n = size
+    g = make_grid(d, n)
+    rng = np.random.default_rng(seed)
+    u = Field(g, su * rng.standard_normal(g.shape))
+    w = Field(g, sw * rng.standard_normal(g.shape))
+    lhs = -inner_h(laplacian_apply(g, u), w)
+    faces = sum(float(np.sum(np.diff(u.values, axis=a) * np.diff(w.values, axis=a))) for a in range(d))
+    rhs = g.cell_volume * faces / g.dx**2
+    # every term is at most 4d*max|u|*max|w|/dx^2 and the terms weigh
+    # cell_volume each; forming the stencil and summing costs (2d + log2 N) ulps
+    scale = 4 * d * np.max(np.abs(u.values)) * np.max(np.abs(w.values)) / g.dx**2
+    assert abs(lhs - rhs) <= 8 * (2 * d + np.log2(g.node_count)) * _EPS * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=_PROPERTY_GRIDS, su=_SCALES, sv=_SCALES, seed=st.integers(0, 2**32 - 1))
+def test_advective_divergence_mean_zero_property(size, su, sv, seed):
+    d, n = size
+    g = make_grid(d, n)
+    rng = np.random.default_rng(seed)
+    u = Field(g, su * rng.standard_normal(g.shape))
+    v = Field(g, sv * rng.standard_normal(g.shape))
+    out = advective_divergence(g, u, v)
+    # each face flux is added to one cell and subtracted from its neighbour
+    # unchanged, so only accumulating up to 2d fluxes per cell and the sum round
+    dv_max = max(float(np.max(np.abs(np.diff(v.values, axis=a)))) for a in range(d))
+    scale = 2 * d * np.max(np.abs(u.values)) * dv_max / g.dx**2
+    assert abs(mean(out)) <= 8 * (2 * d + np.log2(g.node_count)) * _EPS * scale

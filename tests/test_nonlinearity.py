@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemhill.grid import Field, make_grid
 from chemhill.nonlinearity import (
@@ -58,17 +60,21 @@ def test_abs_logit_primitive_matches_closed_form():
 
 
 def test_abs_logit_primitive_matches_mpmath():
+    # both bounded primitives; the logit one is (1+r) ln(1+r) + (1-r) ln(1-r)
     mpmath = pytest.importorskip("mpmath")
-    b = BetaSpec("abs_logit")
+    references = {
+        "abs_logit": lambda x: abs(x) + (x * x - 1) / 2 * mpmath.log((1 + abs(x)) / (1 - abs(x))),
+        "logit": lambda x: (1 + x) * mpmath.log(1 + x) + (1 - x) * mpmath.log(1 - x),
+    }
     top = np.nextafter(1.0, 0.0)
     special = [0.0, 1e-8, -1e-8, 1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-9, top, -top]
     r = np.concatenate([special, np.linspace(-top, top, 2001)])
-    got = beta_hat_eval(b, r)
-    with mpmath.workdps(40):
-        for x, value in zip(r, got):
-            a = abs(mpmath.mpf(float(x)))
-            want = a + (a * a - 1) / 2 * mpmath.log((1 + a) / (1 - a))
-            assert abs(value - want) <= 4e-16 * max(1.0, want), x
+    for family, reference in references.items():
+        got = beta_hat_eval(BetaSpec(family), r)
+        with mpmath.workdps(40):
+            for x, value in zip(r, got):
+                want = reference(mpmath.mpf(float(x)))
+                assert abs(value - want) <= 4e-16 * max(1.0, want), (family, x)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -194,3 +200,29 @@ def test_validation_report_renders_each_assumption():
     text = validate_assumptions(BetaSpec("power"), PiSpec("zero"), u0).render()
     for name in ("A1", "A2", "A3", "A4", "A5"):
         assert name in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from([("linear", 3.0), ("power", 3.0), ("power", 5.5), ("logit", 3.0), ("abs_logit", 3.0)]),
+    tau=st.floats(1e-8, 1e2),
+    s=st.floats(-1e3, 1e3),
+)
+def test_resolvent_inverts_shifted_graph(spec, tau, s):
+    b = BetaSpec(spec[0], m=spec[1])
+    r = resolvent(b, tau, s)
+    if b.bounded:
+        assert -1.0 < r < 1.0
+
+    def g(x):
+        if b.bounded and abs(x) >= 1.0:
+            return np.copysign(np.inf, x)
+        return x + tau * beta_eval(b, x) - s
+
+    # the documented contract: the residual meets 1e-13*max(1, |s|) or, on a
+    # graph too steep for that, the root lies within 4*eps*max(1, |r|) of r
+    # (for bounded graphs possibly between r and the endpoint)
+    tol = 1e-13 * max(1.0, abs(s))
+    width = 4.0 * np.finfo(float).eps * max(1.0, abs(r))
+    bracketed = g(r - width) <= tol and g(r + width) >= -tol
+    assert abs(g(r)) <= tol or bracketed
