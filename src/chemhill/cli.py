@@ -10,9 +10,15 @@ unknown keys are rejected so typos surface immediately):
     [initial] preset (constant|cosine|bump|csv), c, k, amplitude, path, smooth
     [source]  preset (zero|cosine_g|csv-series), k, amplitude, ramp, role, path
     [solver]  lin_tol, newton_tol, max_newton, tau_schedule (auto or a
-              decreasing comma list)
+              decreasing comma list; the Yosida continuation run only when
+              exact Newton fails on a step)
     [output]  directory, snapshot_stride
     [study]   h_levels, lambda_levels, epsilon_levels (comma lists; optional)
+
+A relative ``path`` in [initial] or [source] names a file next to the
+config: it resolves against the directory of the ``--config`` file, not the
+working directory. Absolute paths are used as given, and ``metadata.txt``
+records the resolved path.
 
 Commands: simulate, study-h, study-lambda, study-epsilon, validate,
 check-identities. Validation reports every violation at once, not just the
@@ -23,6 +29,7 @@ across repeated runs of the same config.
 import argparse
 import configparser
 import io
+import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -175,11 +182,14 @@ _SCHEMA = {
 }
 
 
-def parse_config(text):
+def parse_config(text, base_dir=None):
     """Parse and fully validate a config document.
 
     Raises ConfigError carrying the complete list of violations; a valid
     document returns a ScenarioConfig with every invariant already checked.
+    With ``base_dir`` (the directory of the config file), relative
+    ``initial_path`` and ``source_path`` entries are resolved against it to
+    absolute paths; without it they stay as written.
     """
     violations = []
     parser = configparser.ConfigParser(interpolation=None)
@@ -204,6 +214,11 @@ def parse_config(text):
                 setattr(cfg, attr, conv(raw))
             except (ValueError, TypeError) as exc:
                 violations.append(f"[{section}] {key} = {raw!r}: {exc}")
+    if base_dir is not None:
+        for attr in ("initial_path", "source_path"):
+            path = getattr(cfg, attr)
+            if path and not os.path.isabs(path):
+                setattr(cfg, attr, os.path.abspath(os.path.join(base_dir, path)))
 
     violations.extend(_semantic_violations(cfg))
     if violations:
@@ -432,8 +447,8 @@ def _cmd_validate(cfg, scenario, outdir, seed):
 
 
 def _cmd_check_identities(cfg, scenario):
-    # short run at the configured step size with tightened solves: the
-    # identities are exact, so any slack beyond roundoff is a defect
+    # short run at the configured step size with tightened, polished solves:
+    # the identities are exact, so any slack beyond roundoff is a defect
     n_short = min(cfg.N, 16)
     scenario = scenario.with_params(N=n_short, T=cfg.T * n_short / cfg.N)
     opts = SolverOptions(
@@ -441,6 +456,7 @@ def _cmd_check_identities(cfg, scenario):
         newton_tol=min(cfg.newton_tol, 1e-13),
         max_newton=cfg.max_newton,
         tau_schedule=cfg.tau_schedule,
+        polish=True,
     )
     try:
         traj = run(scenario, opts)
@@ -481,19 +497,24 @@ def main(argv=None):
         description="Batch driver for the regularized chemotaxis scheme and its refinement studies.",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to the INI scenario config")
+    parser.add_argument(
+        "--config",
+        required=True,
+        help="path to the INI scenario config (relative input paths in it resolve against its directory)",
+    )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for study levels")
     parser.add_argument("--out", default=None, help="output directory (default: config output.directory)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized validation samples")
     args = parser.parse_args(argv)
 
+    config = Path(args.config)
     try:
-        text = Path(args.config).read_text()
+        text = config.read_text()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(text, base_dir=config.parent)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

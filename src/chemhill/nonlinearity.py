@@ -17,8 +17,8 @@ primitive(0) = 0:
 
 The resolvent r + tau*beta(r) = s and the induced Lipschitz regularization
 (r - resolvent(r))/tau are defined on all of R even when the graph domain
-is bounded, which is what lets the step solver iterate freely before the
-final polish with the exact graph.
+is bounded, which is what lets the step solver's fallback continuation
+iterate freely before its final pass with the exact graph.
 
 The perturbation family pi is anti-monotone and Lipschitz with the budget
 |pi(0)| + sup|pi'| <= c3*eps.
@@ -199,7 +199,7 @@ def _brackets(b, tau, s):
     return lo, hi
 
 
-def resolvent(b, tau, s, method="newton"):
+def resolvent(b, tau, s):
     """Solve r + tau*beta(r) = s for the unique root in the graph domain.
 
     Parameters
@@ -208,13 +208,10 @@ def resolvent(b, tau, s, method="newton"):
     tau : float
         Positive regularization parameter.
     s : float or ndarray
-    method : {"newton", "bisect"}
-        "newton" is a safeguarded Newton iteration with a bisection
-        fallback; "bisect" is plain bisection, kept as an independent
-        cross-check of the fast path.
 
-    The residual is driven below 1e-13 * max(1, |s|) or, on a graph too
-    steep for the residual to resolve that, the root is located to within
+    A safeguarded Newton iteration with a bisection fallback drives the
+    residual below 1e-13 * max(1, |s|) or, on a graph too steep for the
+    residual to resolve that, locates the root to within
     4*eps*max(1, |r|). For bounded families the iterate is clamped to the
     largest representable open interval; for |s| so large that the true
     root is closer to an endpoint than one ulp, the clamped endpoint is
@@ -233,8 +230,7 @@ def resolvent(b, tau, s, method="newton"):
         return x + tau * beta_eval(b, x) - work
 
     # roots beyond the clamped bracket of a bounded graph (no sign change
-    # inside it) saturate at the nearer endpoint; pin them up front so both
-    # iteration flavors return the same value
+    # inside it) saturate at the nearer endpoint; pin them up front
     if b.bounded:
         force_lo = g(lo) > 0
         force_hi = g(hi) < 0
@@ -247,39 +243,24 @@ def resolvent(b, tau, s, method="newton"):
     def width_ok(lo_, hi_, x_):
         return (hi_ - lo_) <= 4.0 * eps_m * np.maximum(1.0, np.abs(x_))
 
-    if method == "bisect":
-        glo = g(lo)
-        x = 0.5 * (lo + hi)
-        for _ in range(200):
-            gx = g(x)
-            take_lo = (gx > 0) != (glo > 0)
-            hi = np.where(take_lo, x, hi)
-            lo = np.where(take_lo, lo, x)
-            glo = np.where(take_lo, glo, gx)
-            x = 0.5 * (lo + hi)
-            if np.all(width_ok(lo, hi, x)):
-                break
-    elif method == "newton":
-        x = np.clip(work / (1.0 + tau), lo, hi)
-        tol_strict = 1e-15 * np.maximum(1.0, np.abs(work))
-        for _ in range(200):
-            gx = g(x)
-            # run to the quadratic floor: near a steep graph the residual
-            # cannot reach any tolerance even at a one-ulp-correct root, so
-            # bracket collapse and step stalls also terminate
-            done = (np.abs(gx) <= tol_strict) | width_ok(lo, hi, x)
-            if np.all(done):
-                break
-            lo = np.where(gx < 0, x, lo)
-            hi = np.where(gx > 0, x, hi)
-            gp = 1.0 + tau * beta_prime(b, x)
-            xn = x - gx / gp
-            bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            done |= np.abs(xn - x) <= eps_m * np.maximum(1.0, np.abs(x))
-            x = np.where(done, x, xn)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x = np.clip(work / (1.0 + tau), lo, hi)
+    tol_strict = 1e-15 * np.maximum(1.0, np.abs(work))
+    for _ in range(200):
+        gx = g(x)
+        # run to the quadratic floor: near a steep graph the residual
+        # cannot reach any tolerance even at a one-ulp-correct root, so
+        # bracket collapse and step stalls also terminate
+        done = (np.abs(gx) <= tol_strict) | width_ok(lo, hi, x)
+        if np.all(done):
+            break
+        lo = np.where(gx < 0, x, lo)
+        hi = np.where(gx > 0, x, hi)
+        gp = 1.0 + tau * beta_prime(b, x)
+        xn = x - gx / gp
+        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        xn = np.where(bad, 0.5 * (lo + hi), xn)
+        done |= np.abs(xn - x) <= eps_m * np.maximum(1.0, np.abs(x))
+        x = np.where(done, x, xn)
 
     x = np.where(force_lo, lo_init, np.where(force_hi, hi_init, x))
     res = g(x)
@@ -301,10 +282,10 @@ def resolvent(b, tau, s, method="newton"):
     return _ret(x.reshape(arr.shape) if not scalar else x[0], scalar)
 
 
-def yosida(b, tau, r, method="newton"):
+def yosida(b, tau, r):
     """Lipschitz regularization (r - resolvent(r)) / tau, defined on all of R."""
     arr, scalar = _as_array(r)
-    j = resolvent(b, tau, arr, method=method)
+    j = resolvent(b, tau, arr)
     return _ret((arr - j) / tau, scalar)
 
 

@@ -5,7 +5,8 @@ come from the stencil symbol, mode recurrences from per-step 2x2 solves of
 the coupled equations restricted to one eigenvector, the linear and 2D
 power-graph step solutions from a dense reformulation assembled with plain
 numpy, closed forms from direct antiderivatives, CSV bytes from the
-standard ``csv`` module, and DCT-diagonal operators from ``scipy.fft``.
+standard ``csv`` module, DCT-diagonal operators from ``scipy.fft``, and
+graph resolvents from plain bisection.
 """
 
 import csv
@@ -97,6 +98,41 @@ def abs_logit_primitive_closed(r):
     x = np.abs(np.asarray(r, dtype=float))
     core = np.log1p(x) - np.log1p(-x)
     return (x * x - 1.0) / 2.0 * core + x
+
+
+def _graph(b, x):
+    """beta(x) for a BetaSpec, written out from the family definitions."""
+    if b.family == "linear":
+        return x
+    if b.family == "power":
+        return np.sign(x) * np.abs(x) ** b.m
+    logit = np.log((1.0 + x) / (1.0 - x))
+    return logit if b.family == "logit" else np.abs(x) * logit
+
+
+def resolvent_bisect(b, tau, s):
+    """Root of r + tau*beta(r) = s by plain bisection, to 4*eps*max(1, |r|).
+
+    The root has the sign of s and |root| <= |s|, so [min(0, s), max(0, s)]
+    brackets it; bounded graphs clamp the bracket to the largest open
+    interval inside (-1, 1) representable in float64. The iteration keeps
+    g(lo) <= 0 < g(hi), so a root beyond the clamped bracket saturates at
+    its nearer end.
+    """
+    s = np.asarray(s, dtype=float)
+    lo, hi = np.minimum(0.0, s), np.maximum(0.0, s)
+    if b.family in ("logit", "abs_logit"):
+        lo = np.maximum(lo, np.nextafter(-1.0, 0.0))
+        hi = np.minimum(hi, np.nextafter(1.0, 0.0))
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        if np.all(hi - lo <= 4.0 * eps * np.maximum(1.0, np.abs(x))):
+            return x
+        above = x + tau * _graph(b, x) - s > 0
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+    raise RuntimeError("bisection did not shrink the bracket")
 
 
 def power_step_solution_2d(n, lam, eps, h, m, rhs, tol=1e-14, max_iter=100):

@@ -234,6 +234,57 @@ def test_main_missing_csv_series_exit_two(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_main_resolves_relative_csv_paths_against_config_dir(tmp_path, monkeypatch):
+    # relative input paths name files next to the config, whatever the working directory
+    cfg_dir = tmp_path / "scenario"
+    cfg_dir.mkdir()
+    g = make_grid(1, 16)
+    (cfg_dir / "u0.csv").write_text(
+        "x,value\n" + "".join(f"{x:.17g},{0.25 * np.cos(np.pi * x):.17g}\n" for x in g.axis)
+    )
+    (cfg_dir / "g.csv").write_text(
+        "t,node,value\n" + "".join(f"0.0,{j},{0.05 * np.cos(np.pi * x):.17g}\n" for j, x in enumerate(g.axis))
+    )
+    (cfg_dir / "scenario.ini").write_text(
+        RUNNABLE.replace("n = 48", "n = 16")
+        .replace("[initial]\npreset = cosine\nk = 1", "[initial]\npreset = csv\npath = u0.csv")
+        .replace("[source]\npreset = zero", "[source]\npreset = csv-series\nrole = g\npath = g.csv")
+    )
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", "../scenario/scenario.ini", "--out", str(out)]) == 0
+    meta = (out / "metadata.txt").read_text()
+    assert f"initial_path = {(cfg_dir / 'u0.csv').resolve()}\n" in meta
+    assert f"source_path = {(cfg_dir / 'g.csv').resolve()}\n" in meta
+    # a config parsed from text alone keeps its paths as written
+    assert parse_config((cfg_dir / "scenario.ini").read_text()).initial_path == "u0.csv"
+
+
+@pytest.mark.parametrize(
+    "beta,changes",
+    [
+        # without the polished final Newton step the energy defect is 5.7e-9:
+        # exact Newton stops just inside newton_tol
+        (
+            "family = logit",
+            {"lambda = 0.02": "lambda = 0.05", "T = 0.1": "T = 0.25", "k = 1\nsmooth = false": "amplitude = 0.9"},
+        ),
+        # 1.006e-10 when the continuation stages decided where the iteration stopped
+        ("family = power\nm = 3", {"lambda = 0.02": "lambda = 0.01", "T = 0.1": "T = 0.125"}),
+    ],
+    ids=["logit", "power"],
+)
+def test_check_identities_2d_holds_at_roundoff(beta, changes):
+    text = RUNNABLE.replace("d = 1\nn = 48", "d = 2\nn = 16").replace("N = 8", "N = 16").replace(
+        "family = power\nm = 3\nc1 = 0.25\nc2 = 0", beta
+    )
+    for old, new in changes.items():
+        text = text.replace(old, new)
+    assert dispatch("check-identities", parse_config(text)) == 0
+
+
 def test_simulate_1d_n512_logit_cosine_completes(tmp_path):
     # without the refinement round in the spectral shifted solve this run
     # fails its residual check (about 1.8e-10 against a limit near 7e-11)

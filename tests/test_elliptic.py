@@ -160,6 +160,55 @@ def test_step_solve_unconverged_direction_raises(monkeypatch):
     assert info.value.residual is not None
 
 
+def _fallback_case(family):
+    g = make_grid(1, 32)
+    rhs = Field(g, 0.5 * np.random.default_rng(4).standard_normal(g.shape))
+    return g, _params(), BetaSpec(family), PiSpec("zero"), rhs, Field(g, np.zeros(g.shape))
+
+
+@pytest.mark.parametrize("family", ["logit", "power"])
+def test_step_solve_falls_back_to_continuation(monkeypatch, family):
+    # no input we know of makes the exact-first stage fail, so force it
+    case = _fallback_case(family)
+    opts = SolverOptions(newton_tol=1e-12)
+    want = step_solve(*case, opts)
+    real = elliptic._newton_stage
+    taus = []
+
+    def stage(g, residual, k_mult, u, lam, eps, h, b, p, tol, tau, opts, history):
+        taus.append(tau)
+        if len(taus) == 1:
+            raise StepFailure("forced failure of the exact-first stage")
+        return real(g, residual, k_mult, u, lam, eps, h, b, p, tol, tau, opts, history)
+
+    monkeypatch.setattr(elliptic, "_newton_stage", stage)
+    got = step_solve(*case, opts)
+    h = case[1].h
+    assert taus == [None, 1e-2 * h, 1e-4 * h, 1e-6 * h, None]
+    assert norm_h(got - want) <= 1e-9
+
+
+def test_step_solve_failure_of_both_routes_reports_both(monkeypatch):
+    real = elliptic._newton_stage
+    histories = []  # the shared residual history after each stage
+
+    def stage(g, residual, k_mult, u, lam, eps, h, b, p, tol, tau, opts, history):
+        u, rn = real(g, residual, k_mult, u, lam, eps, h, b, p, tol, tau, opts, history)
+        histories.append(list(history))
+        if tau is None:
+            raise StepFailure(f"forced failure at residual {rn:.3e}", residual=rn, history=history)
+        return u, rn
+
+    monkeypatch.setattr(elliptic, "_newton_stage", stage)
+    with pytest.raises(StepFailure, match="exact Newton failed .*forced.*fallback failed .*forced") as info:
+        step_solve(*_fallback_case("logit"))
+    assert len(histories) == 5
+    exact, both = histories[0], info.value.history
+    assert exact and both[: len(exact)] == exact
+    assert len(both) > len(exact) and both == histories[-1]
+    assert info.value.residual == both[-1]
+
+
 @pytest.mark.parametrize("family", ["power", "logit"])
 def test_step_solve_warm_start_independence(family):
     g = make_grid(1, 32)
