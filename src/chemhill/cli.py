@@ -9,15 +9,14 @@ unknown keys are rejected so typos surface immediately):
     [pi]      family (zero|tanh_decay)
     [initial] preset (constant|cosine|bump|csv), c, k, amplitude, path, smooth
     [source]  preset (zero|cosine_g|csv-series), k, amplitude, ramp, role, path
-    [solver]  lin_tol, newton_tol, max_newton, tau_schedule (auto or a
-              decreasing comma list; the Yosida continuation run only when
-              exact Newton fails on a step)
+    [solver]  lin_tol, newton_tol, max_newton
     [output]  directory, snapshot_stride
     [study]   h_levels, lambda_levels, epsilon_levels (comma lists; optional)
 
 A relative ``path`` in [initial] or [source] names a file next to the
 config: it resolves against the directory of the ``--config`` file, not the
-working directory. Absolute paths are used as given, and ``metadata.txt``
+working directory (``parse_config`` on text alone resolves against the
+working directory). Absolute paths are used as given, and ``metadata.txt``
 records the resolved path.
 
 Commands: simulate, study-h, study-lambda, study-epsilon, validate,
@@ -86,7 +85,6 @@ class ScenarioConfig:
     lin_tol: float = 1e-11
     newton_tol: float = 1e-10
     max_newton: int = 50
-    tau_schedule: tuple = None
     directory: str = "out"
     snapshot_stride: int = 1
     h_levels: tuple = None
@@ -101,7 +99,6 @@ class ScenarioConfig:
             lin_tol=self.lin_tol,
             newton_tol=self.newton_tol,
             max_newton=self.max_newton,
-            tau_schedule=self.tau_schedule,
         )
 
 
@@ -119,15 +116,6 @@ def _to_levels(s):
     vals = tuple(float(x) for x in s.split(",") if x.strip())
     if not vals:
         raise ValueError("empty level list")
-    return vals
-
-
-def _to_schedule(s):
-    if s.strip().lower() == "auto":
-        return None
-    vals = tuple(float(x) for x in s.split(",") if x.strip())
-    if not vals:
-        raise ValueError("empty tau schedule")
     return vals
 
 
@@ -168,7 +156,6 @@ _SCHEMA = {
         "lin_tol": ("lin_tol", float),
         "newton_tol": ("newton_tol", float),
         "max_newton": ("max_newton", int),
-        "tau_schedule": ("tau_schedule", _to_schedule),
     },
     "output": {
         "directory": ("directory", str),
@@ -182,14 +169,14 @@ _SCHEMA = {
 }
 
 
-def parse_config(text, base_dir=None):
+def parse_config(text, base_dir="."):
     """Parse and fully validate a config document.
 
     Raises ConfigError carrying the complete list of violations; a valid
     document returns a ScenarioConfig with every invariant already checked.
-    With ``base_dir`` (the directory of the config file), relative
-    ``initial_path`` and ``source_path`` entries are resolved against it to
-    absolute paths; without it they stay as written.
+    Relative ``initial_path`` and ``source_path`` entries are resolved to
+    absolute paths against ``base_dir``: the config file's directory when
+    the document came from a file, the working directory by default.
     """
     violations = []
     parser = configparser.ConfigParser(interpolation=None)
@@ -214,11 +201,10 @@ def parse_config(text, base_dir=None):
                 setattr(cfg, attr, conv(raw))
             except (ValueError, TypeError) as exc:
                 violations.append(f"[{section}] {key} = {raw!r}: {exc}")
-    if base_dir is not None:
-        for attr in ("initial_path", "source_path"):
-            path = getattr(cfg, attr)
-            if path and not os.path.isabs(path):
-                setattr(cfg, attr, os.path.abspath(os.path.join(base_dir, path)))
+    for attr in ("initial_path", "source_path"):
+        path = getattr(cfg, attr)
+        if path and not os.path.isabs(path):
+            setattr(cfg, attr, os.path.abspath(os.path.join(base_dir, path)))
 
     violations.extend(_semantic_violations(cfg))
     if violations:
@@ -455,7 +441,6 @@ def _cmd_check_identities(cfg, scenario):
         lin_tol=min(cfg.lin_tol, 1e-12),
         newton_tol=min(cfg.newton_tol, 1e-13),
         max_newton=cfg.max_newton,
-        tau_schedule=cfg.tau_schedule,
         polish=True,
     )
     try:

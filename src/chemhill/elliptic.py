@@ -24,11 +24,9 @@ The nonlinear per-step equation
 
 is strongly monotone whenever h < lam / (2*c3*eps), so it has exactly one
 solution. It is solved by damped Newton in u alone on the exact graph,
-started from the previous time level, which already lies in the Newton
-basin on every input probed so far. Only when that iteration fails does
-the solve restart from the same point with a continuation in the Yosida
-parameter, then a final pass with the exact graph (globalization as in
-Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004, ch. 3).
+started from the previous time level. Residual backtracking, plus a
+fraction-to-the-boundary rule on bounded graphs, globalizes the iteration
+for this monotone equation; a step that still fails raises StepFailure.
 The Newton operator lam + D - eps*h*Lap + (I - Lap)^(-1), D diagonal, is
 symmetric positive definite under the same condition, so each direction
 comes from matrix-free conjugate gradients. The preconditioner is the same
@@ -95,24 +93,18 @@ class CompatibilityError(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and the fallback continuation schedule for the solvers.
+    """Tolerances for the linear and per-step nonlinear solvers.
 
-    ``tau_schedule`` is used only when exact Newton from the warm start
-    fails: the step then runs one Newton stage per Yosida parameter in the
-    schedule, followed by a final pass with the exact graph. ``None`` means
-    the h-scaled default (1e-2*h, 1e-4*h, 1e-6*h).
-
-    ``polish=True`` adds one Newton correction after the exact-graph
-    iteration has met ``newton_tol`` (kept only if it lowers the true
-    residual), which takes the residual from just inside the tolerance to
-    its evaluation floor. The scheme's energy identity pairs that residual
-    with the increment u_{n+1} - u_n, so identity checks ask for it.
+    ``polish=True`` adds one Newton correction after the iteration has met
+    ``newton_tol`` (kept only if it lowers the true residual), which takes
+    the residual from just inside the tolerance to its evaluation floor.
+    The scheme's energy identity pairs that residual with the increment
+    u_{n+1} - u_n, so identity checks ask for it.
     """
 
     lin_tol: float = 1e-11
     newton_tol: float = 1e-10
     max_newton: int = 50
-    tau_schedule: tuple = None
     polish: bool = False
 
     def __post_init__(self):
@@ -120,13 +112,6 @@ class SolverOptions:
             raise ValueError("tolerances must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
-        if self.tau_schedule is not None:
-            sched = tuple(self.tau_schedule)
-            if any(t <= 0 for t in sched):
-                raise ValueError("tau schedule entries must be positive")
-            if any(a <= b for a, b in zip(sched, sched[1:])):
-                raise ValueError("tau schedule must be strictly decreasing")
-            object.__setattr__(self, "tau_schedule", sched)
 
 
 @functools.lru_cache(maxsize=16)
@@ -265,10 +250,9 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     ValueError
         If the stepsize condition fails (precondition).
     StepFailure
-        When both exact Newton and the continuation fallback fail, each on
-        stagnation at the damping floor, on the iteration cap, or on a
-        Newton direction whose CG misses its tolerance. The message names
-        both failures; the residual history holds both routes' residuals.
+        On stagnation at the damping floor, on the iteration cap, or on a
+        Newton direction whose CG misses its tolerance; carries the
+        residual history.
 
     Notes
     -----
@@ -279,14 +263,11 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     misses it raises StepFailure and is never used. The preconditioner is
     the DCT-diagonal operator with D replaced by its minimum, scaled on
     both sides by a diagonal that restores the operator's diagonal where D
-    is large. Newton runs first on the exact graph from the warm start;
-    bounded graphs use a fraction-to-the-boundary rule so iterates stay
-    strictly inside the domain. Only if that fails does the solve restart
-    from the warm start, relax the graph through the decreasing Yosida
-    ``tau_schedule`` (each stage warm-starting the next) and finish with
-    the exact graph. With ``polish`` set, every exact-graph pass that took
-    a step ends with one more Newton correction. Acceptance is the true
-    residual alone.
+    is large. Newton runs on the exact graph from the warm start; bounded
+    graphs use a fraction-to-the-boundary rule so iterates stay strictly
+    inside the domain. With ``polish`` set, an iteration that took a step
+    ends with one more Newton correction. Acceptance is the true residual
+    alone.
     """
     opts = opts or SolverOptions()
     eps, lam, h = params.eps, params.lam, params.h
@@ -301,49 +282,20 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     rhs_scale = max(1.0, norm_h(rhs))
     tol = opts.newton_tol * rhs_scale
 
-    def residual(uu, phi_u):
+    def residual(uu):
         return (
             lam * uu
             - eps * h * _laplacian(uu, g.dx)
-            + h * phi_u
+            + h * nl.beta_eval(b, uu)
             + h * nl.pi_eval(p, eps, uu)
             + _dct_apply(uu, k_mult)
             - rhs_v
         )
 
-    u0 = warm.values.copy()
+    u = warm.values.copy()
     if b.bounded:
-        u0 = np.clip(u0, -1.0 + 1e-12, 1.0 - 1e-12)
-    history = []
-    try:
-        u, rfinal = _newton_stage(g, residual, k_mult, u0, lam, eps, h, b, p, tol, None, opts, history)
-    except StepFailure as exact_failure:
-        # fallback globalization: relax the graph through the decreasing Yosida
-        # schedule from the same warm start, then finish with the exact graph
-        schedule = opts.tau_schedule if opts.tau_schedule is not None else (1e-2 * h, 1e-4 * h, 1e-6 * h)
-        u = u0
-        try:
-            for tau in (*schedule, None):
-                # continuation stages only ferry the iterate into the Newton basin;
-                # their residual cannot be evaluated below the resolvent tolerance
-                # divided by tau, so the tight tolerance is left to the exact stage
-                stage_tol = tol if tau is None else max(tol, 1e-8 * rhs_scale)
-                u, rfinal = _newton_stage(
-                    g, residual, k_mult, u, lam, eps, h, b, p, stage_tol, tau, opts, history
-                )
-        except StepFailure as exc:
-            raise StepFailure(
-                f"exact Newton failed ({exact_failure}); Yosida continuation fallback failed ({exc})",
-                residual=exc.residual,
-                history=history,
-            ) from exc
-    if rfinal > tol:
-        raise StepFailure(
-            f"step solve residual {rfinal:.3e} above tolerance {tol:.3e}",
-            residual=rfinal,
-            history=history,
-        )
-    return Field(g, u)
+        u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
+    return Field(g, _newton(g, residual, k_mult, u, lam, eps, h, b, p, tol, opts))
 
 
 # relative residual at which a Newton direction counts as solved
@@ -397,35 +349,24 @@ def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
     )
 
 
-def _newton_stage(g, residual, k_mult, u, lam, eps, h, b, p, tol, tau, opts, history):
+def _newton(g, residual, k_mult, u, lam, eps, h, b, p, tol, opts):
     # convergence is measured on the true equation residual, whose
     # evaluation floor is at roundoff rather than at cond(Lap)*eps
-    exact = tau is None
-    bounded_exact = exact and b.bounded
-    if bounded_exact:
-        u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
-
-    if exact:
-        phi = lambda x: nl.beta_eval(b, x)
-        phi_prime = lambda x: nl.beta_prime(b, x)
-    else:
-        phi = lambda x: nl.yosida(b, tau, x)
-        phi_prime = lambda x: nl.yosida_prime(b, tau, x)
+    history = []
 
     def direction(at, res, rnorm):
-        coef = lam + h * (phi_prime(at) + nl.pi_prime(p, eps, at))
+        coef = lam + h * (nl.beta_prime(b, at) + nl.pi_prime(p, eps, at))
         return _newton_direction(g, coef, eps * h, k_mult, -res, rnorm, history)
 
-    r1 = residual(u, phi(u))
+    r1 = residual(u)
     rn = _hnorm(g, r1)
-    accepted_before = len(history)
     for _ in range(opts.max_newton):
         if rn <= tol:
             break
         du = direction(u, r1, rn)
 
         theta = 1.0
-        if bounded_exact:
+        if b.bounded:
             room = np.where(du > 0, (1.0 - u) / np.where(du > 0, du, 1.0), np.inf)
             room = np.minimum(room, np.where(du < 0, (u + 1.0) / np.where(du < 0, -du, 1.0), np.inf))
             theta = min(1.0, 0.95 * float(np.min(room)))
@@ -433,7 +374,7 @@ def _newton_stage(g, residual, k_mult, u, lam, eps, h, b, p, tol, tau, opts, his
         while theta > 2.0**-40:
             ut = u + theta * du
             try:
-                r1t = residual(ut, phi(ut))
+                r1t = residual(ut)
             except nl.OutOfDomainError:
                 theta *= 0.5
                 continue
@@ -456,15 +397,14 @@ def _newton_stage(g, residual, k_mult, u, lam, eps, h, b, p, tol, tau, opts, his
             residual=rn,
             history=history,
         )
-    if exact and opts.polish and len(history) > accepted_before:
+    if opts.polish and history:
         # one more full Newton step (quadratic convergence) from just inside
         # tol; a start that already met tol is returned as it is
         try:
             ut = u + direction(u, r1, rn)
-            rt = _hnorm(g, residual(ut, phi(ut)))
+            rt = _hnorm(g, residual(ut))
         except (StepFailure, nl.OutOfDomainError):
             rt = np.inf
         if rt < rn:
-            u, rn = ut, rt
-            history.append(rn)
-    return u, rn
+            u = ut
+    return u

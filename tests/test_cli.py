@@ -258,8 +258,8 @@ def test_main_resolves_relative_csv_paths_against_config_dir(tmp_path, monkeypat
     meta = (out / "metadata.txt").read_text()
     assert f"initial_path = {(cfg_dir / 'u0.csv').resolve()}\n" in meta
     assert f"source_path = {(cfg_dir / 'g.csv').resolve()}\n" in meta
-    # a config parsed from text alone keeps its paths as written
-    assert parse_config((cfg_dir / "scenario.ini").read_text()).initial_path == "u0.csv"
+    # a config parsed from text alone resolves them against the working directory
+    assert parse_config((cfg_dir / "scenario.ini").read_text()).initial_path == str(elsewhere.resolve() / "u0.csv")
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ from chemhill.scheme import (
 
 import oracles
 
-TIGHT = SolverOptions(newton_tol=1e-13, lin_tol=1e-12)
+# the setting check-identities uses: the identities are exact, so each step's
+# Newton iteration is polished to its residual floor, not stopped inside tol
+TIGHT = SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True)
 
 
 def cosine_scenario(g, params, family="power", amp=1.0, smooth=False, **beta_kw):
