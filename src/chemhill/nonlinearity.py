@@ -259,7 +259,10 @@ def resolvent(b, tau, s):
         xn = x - gx / gp
         bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
-        done |= np.abs(xn - x) <= eps_m * np.maximum(1.0, np.abs(x))
+        # a stall is a step that no longer moves x: near a steep graph's
+        # endpoint Newton advances a few ulps per iteration, and stopping at
+        # a two-ulp step left logit (tau 22, s 770) 11 ulps from its root
+        done |= xn == x
         x = np.where(done, x, xn)
 
     x = np.where(force_lo, lo_init, np.where(force_hi, hi_init, x))

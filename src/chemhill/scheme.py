@@ -4,16 +4,20 @@ One step advances (u_n, mu_n) to (u_{n+1}, mu_{n+1}) through the decoupled
 form of the scheme: the new density solves the monotone equation
 
     (lam + K) u - eps*h*Lap u + h*beta(u) + h*pi(u)
-        = h*f_{n+1} + lam*u_n + K u_n + h*K mu_n - h*K adv_n,
+        = h*f_{n+1} + lam*u_n + K u_n + h*K(mu_n - adv_n),
 
 with K = (I - Lap)^(-1) and adv_n = eta * div(u_n grad v_n) the explicitly
-lagged transport term, after which the chemical potential updates by one
-shifted solve,
+lagged transport term; K u_n is the stored v_n, so the right-hand side
+costs one shifted solve. The chemical potential then updates by its own
+checked shifted solve,
 
     mu_{n+1} = K(mu_n - (u_{n+1} - u_n)/h - adv_n),
 
-and the chemotaxis potential by v_{n+1} = K u_{n+1}. The initial potential
-is identically zero and the initial density is the smoothed datum.
+and the chemotaxis potential by v_{n+1} = K u_{n+1}: three shifted solves
+per step. mu_{n+1} is not recovered from (v_{n+1} - v_n)/h, which would
+divide the solves' forward error by h and skip a residual check. The
+initial potential is identically zero and the initial density is the
+smoothed datum.
 
 Besides the marching loop this module holds the piecewise-in-time
 reconstructions of a finished run (linear and one-sided constant
@@ -172,9 +176,7 @@ def step(prev, f_next, params, b, p, opts=None):
     h, lam = params.h, params.lam
     try:
         adv = params.eta * advective_divergence(g, prev.u, prev.v)
-        k_mu = helmholtz_solve(g, prev.mu, opts)
-        k_adv = helmholtz_solve(g, adv, opts)
-        rhs = h * f_next + lam * prev.u + prev.v + h * k_mu - h * k_adv
+        rhs = h * f_next + lam * prev.u + prev.v + h * helmholtz_solve(g, prev.mu - adv, opts)
         u_next = step_solve(g, params, b, p, rhs, warm=prev.u, opts=opts)
         mu_next = helmholtz_solve(g, prev.mu - (u_next - prev.u) / h - adv, opts)
         v_next = helmholtz_solve(g, u_next, opts)

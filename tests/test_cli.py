@@ -286,8 +286,9 @@ def test_check_identities_2d_holds_at_roundoff(beta, changes):
 
 
 def test_simulate_1d_n512_logit_cosine_completes(tmp_path):
-    # without the refinement round in the spectral shifted solve this run
-    # fails its residual check (about 1.8e-10 against a limit near 7e-11)
+    # the first spectral residual of some shifted and Poisson solves misses
+    # its check here (about 1.8e-10 against a limit near 7e-11), so this run
+    # guards the refinement round that such a miss triggers
     text = (
         RUNNABLE.replace("n = 48", "n = 512")
         .replace("family = power\nm = 3\nc1 = 0.25\nc2 = 0", "family = logit")

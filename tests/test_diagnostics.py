@@ -113,6 +113,21 @@ def test_identity_rows_on_short_run():
     assert all(passed for _, _, passed in rows)
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: the energy-balance scale vanishes at steady state")
+def test_energy_balance_near_steady_state():
+    # per_step_energy_balance divides by max(|lhs|, sum|terms|), about |du|^2,
+    # while its roundoff is about eps_mach*|du|; as the bump datum settles
+    # (|du| from 1e-6 to exactly 0) the defect reads about 3e-3
+    g = make_grid(2, 16)
+    xx, yy = g.coords()
+    u0 = Field(g, 0.9 * np.exp(-((xx - 0.5) ** 2 + (yy - 0.5) ** 2) / 0.02))
+    params = SimParams(eps=0.1, lam=0.05, N=64, T=2.0)
+    sc = Scenario(grid=g, params=params, beta=BetaSpec("logit"), pi=PiSpec("zero"), u0=u0)
+    traj = run(sc, SolverOptions(polish=True))
+    rows = {name: passed for name, _, passed in identity_report(traj, sc.beta, sc.pi)}
+    assert rows["per_step_energy_balance"]
+
+
 def test_pt_pairing_zero_for_constants():
     g = make_grid(1, 32)
     b = BetaSpec("power")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import chemhill.scheme
+
 from chemhill.elliptic import SolverOptions, StepFailure, helmholtz_solve
 from chemhill.grid import Field, make_grid, mean, norm_h, norm_l4, norm_v
 from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval
@@ -295,3 +297,42 @@ def test_two_dimensional_run_conserves_mass():
     m0 = mean(traj.states[0].u)
     for s in traj.states:
         assert abs(mean(s.u + h * s.mu) - m0) <= 1e-10
+
+
+def _step_inputs(d, n, family):
+    # nonzero mu_n, a nonzero potential source and eta > 0, so every term of
+    # the right-hand side is exercised
+    g = make_grid(d, n)
+    params = SimParams(eps=0.1, lam=0.01, N=16, T=0.01, eta=0.5)
+    ax = np.cos(np.pi * g.axis)
+    prof = ax if d == 1 else np.outer(ax, 0.5 + 0.5 * ax)
+    u = Field(g, 0.6 * prof)
+    mu = Field(g, 0.3 * np.cos(2.0 * np.pi * g.axis) if d == 1 else 0.3 * np.outer(ax, ax))
+    f_next = Field(g, 0.2 * np.roll(prof, 1))
+    prev = StepState(0, u, mu, helmholtz_solve(g, u))
+    return prev, f_next, params, BetaSpec(family, c2=0.0), PiSpec("zero")
+
+
+def test_step_makes_three_shifted_solves(monkeypatch):
+    calls = []
+    real = chemhill.scheme.helmholtz_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chemhill.scheme, "helmholtz_solve", counted)
+    prev, f_next, params, b, p = _step_inputs(2, 8, "logit")
+    step(prev, f_next, params, b, p)
+    # K(mu_n - adv_n), mu_{n+1} and v_{n+1}; K u_n is the stored v_n
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("family", ["logit", "power"])
+@pytest.mark.parametrize("d,n", [(1, 48), (2, 12)])
+def test_step_matches_four_solve_oracle(d, n, family):
+    prev, f_next, params, b, p = _step_inputs(d, n, family)
+    got = step(prev, f_next, params, b, p, TIGHT)
+    want = oracles.four_solve_step(prev, f_next, params, b, p, TIGHT)
+    for field, ref in zip((got.u, got.mu, got.v), want):
+        assert np.linalg.norm(field.values - ref) <= 1e-12 * np.linalg.norm(ref)
