@@ -384,7 +384,7 @@ def _cmd_simulate(cfg, scenario, outdir):
         return 1
     outdir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(traj, outdir / "trajectory.csv", stride=cfg.snapshot_stride)
-    ledger = build_ledger(traj, scenario.beta, opts)
+    ledger = build_ledger(traj, scenario.beta)
     append_ledger_csv(outdir / "ledger.csv", ledger)
     meta = _render_metadata(
         cfg,
@@ -487,10 +487,15 @@ def main(argv=None):
         required=True,
         help="path to the INI scenario config (relative input paths in it resolve against its directory)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for study levels")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for study levels (at most one per level)"
+    )
     parser.add_argument("--out", default=None, help="output directory (default: config output.directory)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized validation samples")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"usage error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
 
     config = Path(args.config)
     try:

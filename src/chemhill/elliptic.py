@@ -20,6 +20,13 @@ residual misses the check does one round of iterative refinement and is
 checked again. The first residual passes on every solve of the benchmark
 workloads (1D n=256, 2D n=48 and 64) and misses on some at 1D n=512.
 
+The dual norms (r, (I - Lap)^(-1) r)_h and (r, (-Lap)^(-1) r)_h need no
+solve: with c = C r the orthonormal DCT-II coefficients, each is the exact
+Parseval sum h^d * sum_k mult_k * c_k^2 over the operator's symbol, so
+they raise no SolverFailure. ``_dct_coefficients`` computes c for a stack
+of fields at once (the mirror rfft in 1D, C X C^T in 2D), which is how
+``diagnostics`` and ``limits`` evaluate a whole trajectory in blocks.
+
 The nonlinear per-step equation
 
     (lam + (I - Lap)^(-1)) u - eps*h*Lap u + h*beta(u) + h*pi(u) = rhs
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinearity as nl
-from .grid import Field, _laplacian, inner_h, mean, norm_h
+from .grid import Field, _laplacian, mean, norm_h
 
 __all__ = [
     "SolverOptions",
@@ -163,6 +170,45 @@ def _dct_apply(values, mult):
     return c.T @ ((c @ values @ c.T) * mult) @ c
 
 
+@functools.lru_cache(maxsize=16)
+def _dct_phase(n):
+    """s_k/2 * exp(-i*pi*k/(2n)): turns mode k of the mirror rfft into orthonormal DCT-II; read-only."""
+    k = np.arange(n)
+    phase = np.exp(-0.5j * np.pi * k / n) * np.sqrt(0.5 / n)
+    phase[0] = 0.5 / np.sqrt(n)
+    phase.setflags(write=False)
+    return phase
+
+
+def _dct_coefficients(stack):
+    """Orthonormal DCT-II coefficients of each field of ``stack``, batched over its leading axis.
+
+    1D: mode k of the rfft of the mirror extension is
+    2*exp(i*pi*k/(2n)) times the unnormalized DCT-II coefficient, so the
+    same length-2n FFT as ``_dct_apply`` gives it after a phase factor.
+    2D: C X C^T with the cached DCT-II matrix C, broadcast over the batch.
+    """
+    n = stack.shape[-1]
+    if stack.ndim == 2:
+        coef = np.fft.rfft(np.concatenate((stack, stack[:, ::-1]), axis=1), axis=1)
+        return (coef[:, :n] * _dct_phase(n)).real
+    c = _dct_matrix(n)
+    return c @ stack @ c.T
+
+
+@functools.lru_cache(maxsize=16)
+def _dual_symbol(d, n, shift):
+    """Symbol of (shift*I - Lap)^(-1) on the DCT-II modes; 0 where shift - ev is 0. Read-only.
+
+    shift=1 is the shifted operator K; shift=0 the inverse Neumann Laplacian
+    on mean-zero data, whose dropped mode 0 is the projection onto mean zero.
+    """
+    den = shift - _eigenvalues(d, n)
+    sym = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
+    sym.setflags(write=False)
+    return sym
+
+
 def _checked_solve(b, mult, stencil_residual, tol, what):
     # spectral solve, then the stencil residual check; one refinement round
     # only when the first residual misses it (Higham 2002, ch. 12)
@@ -222,16 +268,24 @@ def source_potential(g, g_field, opts=None):
     return neumann_poisson_solve(g, g_field, opts)
 
 
-def vstar_norm(g, r, opts=None):
-    """Dual H1 norm through the shifted solve: sqrt((r, (I - Lap)^(-1) r))."""
-    val = inner_h(r, helmholtz_solve(g, r, opts))
-    return float(np.sqrt(max(val, 0.0)))
+def _dual_norm(g, r, shift):
+    if not g.matches(r.grid):
+        raise ValueError(f"grid mismatch: {g} vs {r.grid}")
+    c = _dct_coefficients(r.values[None])
+    return float(np.sqrt(g.cell_volume * np.sum(_dual_symbol(g.d, g.n, shift) * c * c)))
 
 
-def v0star_norm(g, r, opts=None):
-    """Dual norm on mean-zero data through the inverse Neumann Laplacian."""
-    val = inner_h(r, neumann_poisson_solve(g, r, opts))
-    return float(np.sqrt(max(val, 0.0)))
+def vstar_norm(g, r):
+    """Dual H1 norm sqrt((r, (I - Lap)^(-1) r)_h), as a Parseval sum on the DCT-II modes."""
+    return _dual_norm(g, r, 1.0)
+
+
+def v0star_norm(g, r):
+    """Dual norm sqrt((r, (-Lap)^(-1) r)_h) of mean-zero data, as a Parseval sum on the DCT-II modes."""
+    m = mean(r)
+    if abs(m) > 1e-10:
+        raise CompatibilityError(f"argument must have zero average, got {m:.3e}")
+    return _dual_norm(g, r, 0.0)
 
 
 def step_solve(g, params, b, p, rhs, warm, opts=None):

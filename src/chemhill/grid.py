@@ -9,8 +9,11 @@ identities hold discretely instead of merely up to truncation error.
 
 The stencil lives in one private function on plain arrays, which
 :func:`laplacian_apply` wraps and the solvers in ``elliptic`` use for their
-residual checks. Its eigenvectors are the cosines cos(pi*k*(i + 1/2)/n) of
-the DCT-II basis, which is how ``elliptic`` inverts it.
+residual checks; the face differences behind :func:`seminorm_v` live in
+another. Both accept leading batch axes, so ``diagnostics`` applies them to
+stacked states. The stencil's eigenvectors are the cosines
+cos(pi*k*(i + 1/2)/n) of the DCT-II basis, which is how ``elliptic``
+inverts it.
 """
 
 import csv
@@ -127,17 +130,20 @@ def _same_grid(g, *fields):
             raise ValueError(f"grid mismatch: {g} vs {f.grid}")
 
 
-def _laplacian(v, dx):
-    # the one stencil implementation, on grid-shaped arrays (1D or 2D); the
+def _laplacian(v, dx, d=None):
+    # the one stencil implementation, on arrays whose trailing d axes are the
+    # grid (default: all of them) and whose leading axes are a batch; the
     # ghost layer is filled by hand because np.pad costs more than the stencil
-    p = np.empty(tuple(k + 2 for k in v.shape))
-    p[(slice(1, -1),) * v.ndim] = v
-    if v.ndim == 1:
-        p[0], p[-1] = v[0], v[-1]
-        lap = p[:-2] + p[2:] - 2.0 * v
+    d = d or v.ndim
+    p = np.empty(v.shape[:-d] + tuple(k + 2 for k in v.shape[-d:]))
+    p[(Ellipsis,) + (slice(1, -1),) * d] = v
+    if d == 1:
+        p[..., 0], p[..., -1] = v[..., 0], v[..., -1]
+        lap = p[..., :-2] + p[..., 2:] - 2.0 * v
     else:
-        p[0, 1:-1], p[-1, 1:-1], p[1:-1, 0], p[1:-1, -1] = v[0], v[-1], v[:, 0], v[:, -1]
-        lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * v
+        p[..., 0, 1:-1], p[..., -1, 1:-1] = v[..., 0, :], v[..., -1, :]
+        p[..., 1:-1, 0], p[..., 1:-1, -1] = v[..., :, 0], v[..., :, -1]
+        lap = p[..., :-2, 1:-1] + p[..., 2:, 1:-1] + p[..., 1:-1, :-2] + p[..., 1:-1, 2:] - 4.0 * v
     return lap / dx**2
 
 
@@ -200,14 +206,22 @@ def mean(u):
     return u.grid.cell_volume * float(np.sum(u.values))
 
 
+def _face_diff_sq(v, dx, d=None):
+    # sum of squared face-centred differences over the trailing d axes (default:
+    # all of them), one value per entry of the leading batch axes
+    d = d or v.ndim
+    spatial = tuple(range(-d, 0))
+    total = 0.0
+    for axis in spatial:
+        diff = np.diff(v, axis=axis) / dx
+        total = total + np.sum(diff * diff, axis=spatial)
+    return total
+
+
 def seminorm_v(u):
     """H1 seminorm from face-centered differences over interior faces."""
     g = u.grid
-    total = 0.0
-    for axis in range(g.d):
-        diff = np.diff(u.values, axis=axis) / g.dx
-        total += float(np.sum(diff * diff))
-    return np.sqrt(g.cell_volume * total)
+    return np.sqrt(g.cell_volume * float(_face_diff_sq(u.values, g.dx)))
 
 
 def norm_v(u):

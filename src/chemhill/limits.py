@@ -18,14 +18,12 @@ Axis conventions:
 """
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import LEDGER_COLUMNS, build_ledger
-from .elliptic import SolverFailure, SolverOptions, helmholtz_solve
-from .grid import inner_h, norm_h
+from .diagnostics import LEDGER_COLUMNS, _blocks, build_ledger
+from .elliptic import SolverFailure, SolverOptions, _dct_coefficients, _dual_symbol
 from .scheme import interpolants, run
 
 __all__ = ["StudyReport", "study", "estimate_order", "save_study_csv", "summarize"]
@@ -80,28 +78,31 @@ def estimate_order(diffs, ratios=None, floor=0.0):
     return orders
 
 
-def _uhat_diff_norms(view_a, view_b, opts):
+def _uhat_diff_norms(view_a, view_b):
     """Exact Linf(0,T;H) and L2(0,T;dual) distance between two linear reconstructions.
 
     Both reconstructions are linear between their own breakpoints, so on the
     union partition the difference is linear per segment and both norms are
     exact: the Linf over a segment of a norm of a linear path is attained at
     an endpoint, and the squared dual norm integrates by the endpoint rule
-    (ip(a,a) + ip(a,b) + ip(b,b))/3 per segment.
+    (ip(a,a) + ip(a,b) + ip(b,b))/3 per segment. The breakpoints are taken
+    in blocks, and each pairing ip(a,b) = (a, (I - Lap)^(-1) b)_h is a
+    Parseval sum over the DCT-II coefficients of a and b.
     """
     g = view_a.traj.grid
+    spatial = tuple(range(-g.d, 0))
+    sym = _dual_symbol(g.d, g.n, 1.0)
     breaks = np.union1d(view_a.times, view_b.times)
-    fields = [view_a.u_hat(t) - view_b.u_hat(t) for t in breaks]
-    linf = max(norm_h(f) for f in fields)
-    solved = [helmholtz_solve(g, f, opts) for f in fields]
-    l2v = 0.0
-    for k in range(len(breaks) - 1):
-        dt = breaks[k + 1] - breaks[k]
-        paa = inner_h(fields[k], solved[k])
-        pab = inner_h(fields[k], solved[k + 1])
-        pbb = inner_h(fields[k + 1], solved[k + 1])
-        l2v += dt * (paa + pab + pbb) / 3.0
-    return float(linf), float(np.sqrt(max(l2v, 0.0)))
+    linf_sq = l2v = 0.0
+    for start, stop in _blocks(len(breaks) - 1, g.node_count):
+        ts = breaks[start : stop + 1]
+        diff = view_a.u_hat_values(ts) - view_b.u_hat_values(ts)
+        linf_sq = max(linf_sq, float(np.max(np.sum(diff * diff, axis=spatial))))
+        c = _dct_coefficients(diff)
+        own = np.sum(sym * c * c, axis=spatial)
+        cross = np.sum(sym * c[:-1] * c[1:], axis=spatial)
+        l2v += float(np.sum(np.diff(ts) * (own[:-1] + cross + own[1:]))) / 3.0
+    return float(np.sqrt(g.cell_volume * linf_sq)), float(np.sqrt(max(g.cell_volume * l2v, 0.0)))
 
 
 def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=None):
@@ -119,7 +120,8 @@ def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=No
         Graph for the ledger; defaults to the scenario's.
     opts : SolverOptions, optional
     jobs : int
-        Level runs fan out over a process pool when jobs > 1.
+        At least 1. Level runs fan out over a pool of min(jobs, level
+        count) processes when that is more than one.
     noise_floor : float, optional
         Orders are suppressed below this difference level; defaults to
         10 * newton_tol.
@@ -129,6 +131,8 @@ def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=No
     """
     if axis not in AXES:
         raise ValueError(f"unknown study axis {axis!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     opts = opts or SolverOptions()
     b = b or base_scenario.beta
     if noise_floor is None:
@@ -142,8 +146,13 @@ def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=No
 
     report = StudyReport(axis=axis, levels=values)
     trajectories = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(scenarios))
+    if workers > 1:
+        # imported here, so a serial run never loads the pool's modules
+        # (multiprocessing, socket, subprocess)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_level, (sc, opts)) for sc in scenarios]
             for lv, fut in zip(values, futures):
                 try:
@@ -161,10 +170,10 @@ def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=No
                 report.failure_message = str(exc)
                 break
 
-    report.ledgers = [build_ledger(tr, b, opts) for tr in trajectories]
+    report.ledgers = [build_ledger(tr, b) for tr in trajectories]
     views = [interpolants(tr) for tr in trajectories]
     for va, vb in zip(views, views[1:]):
-        linf, l2v = _uhat_diff_norms(va, vb, opts)
+        linf, l2v = _uhat_diff_norms(va, vb)
         report.diffs_linf_h.append(linf)
         report.diffs_l2_vstar.append(l2v)
     ratios = [v0 / v1 for v0, v1 in zip(values, values[1:])][: max(len(report.diffs_linf_h) - 1, 0)]

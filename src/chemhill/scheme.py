@@ -260,12 +260,19 @@ class InterpolantView:
         exact = 0 <= k <= self.params.N and abs(kf - k) <= 1e-9
         return kf, k, exact
 
-    def _hat(self, seq, t):
+    def _hat_weights(self, t):
+        # (n, s) with hat(t) = (1 - s)*level_n + s*level_{n+1}; s is 0 or 1 at a level
         kf, k, exact = self._locate(t)
         if exact:
-            return seq[k]
+            n = min(k, self.params.N - 1)
+            return n, float(k - n)
         n = min(int(kf), self.params.N - 1)
-        s = kf - n
+        return n, kf - n
+
+    def _hat(self, seq, t):
+        n, s = self._hat_weights(t)
+        if s in (0.0, 1.0):
+            return seq[n + int(s)]
         return (1.0 - s) * seq[n] + s * seq[n + 1]
 
     def _right_index(self, t):
@@ -281,6 +288,15 @@ class InterpolantView:
 
     def u_hat(self, t):
         return self._hat(self._u, t)
+
+    def u_hat_values(self, ts):
+        """Values of ``u_hat`` at each time of ``ts``, stacked along a leading axis."""
+        n, s = np.array([self._hat_weights(t) for t in ts]).T
+        n = n.astype(int)
+        s = s.reshape((-1,) + (1,) * self.traj.grid.d)
+        lo = np.stack([self._u[k].values for k in n])
+        hi = np.stack([self._u[k + 1].values for k in n])
+        return (1.0 - s) * lo + s * hi
 
     def mu_hat(self, t):
         return self._hat(self._mu, t)

@@ -6,9 +6,12 @@ the coupled equations restricted to one eigenvector, the linear and 2D
 power-graph step solutions from a dense reformulation assembled with plain
 numpy, closed forms from direct antiderivatives, CSV bytes from the
 standard ``csv`` module, DCT-diagonal operators from ``scipy.fft``,
-graph resolvents from plain bisection, and a time step whose shifted solves
+graph resolvents from plain bisection, a time step whose shifted solves
 are ``scipy.fft`` solves refined against the dense stencil, with K mu_n
-and K adv_n solved separately.
+and K adv_n solved separately, and dual norms, the ledger and the study
+differences evaluated one step at a time, each dual norm through a checked
+linear solve instead of a spectral sum, and the ledger's other terms from
+``np.diff`` face differences and the dense stencil.
 """
 
 import csv
@@ -93,6 +96,11 @@ def linear_step_solution(n, lam, eps, h, rhs):
 def dct_diagonal_apply(values, mult):
     """Multiply by ``mult`` on the orthonormal DCT-II modes, through scipy.fft's DCTs."""
     return idctn(dctn(values, norm="ortho") * mult, norm="ortho")
+
+
+def dct_coefficients(stack):
+    """Orthonormal DCT-II coefficients of each field of ``stack`` (leading batch axis), via scipy.fft."""
+    return dctn(stack, norm="ortho", axes=tuple(range(1, stack.ndim)))
 
 
 def abs_logit_primitive_closed(r):
@@ -213,3 +221,89 @@ def four_solve_step(prev, f_next, params, b, p, opts):
     u_next = step_solve(g, params, b, p, Field(g, rhs), warm=prev.u, opts=opts).values
     mu_next = refined_shifted_solve(mu - (u_next - u) / h - adv)
     return u_next, mu_next, refined_shifted_solve(u_next)
+
+
+def solve_vstar_norm(g, r, opts=None):
+    """sqrt((r, (I - Lap)^(-1) r)_h) through the package's checked shifted solve."""
+    from chemhill.elliptic import helmholtz_solve
+    from chemhill.grid import inner_h
+
+    return float(np.sqrt(max(inner_h(r, helmholtz_solve(g, r, opts)), 0.0)))
+
+
+def solve_v0star_norm(g, r, opts=None):
+    """sqrt((r, (-Lap)^(-1) r)_h) through the package's checked mean-zero Poisson solve."""
+    from chemhill.elliptic import neumann_poisson_solve
+    from chemhill.grid import inner_h
+
+    return float(np.sqrt(max(inner_h(r, neumann_poisson_solve(g, r, opts)), 0.0)))
+
+
+def per_step_ledger(traj, b, opts=None):
+    """The twelve ledger entries, one step at a time, with solve-based dual norms."""
+    from chemhill.diagnostics import DiagnosticsLedger
+    from chemhill.grid import Field
+    from chemhill.nonlinearity import beta_eval
+
+    params, g = traj.params, traj.grid
+    h, eps, lam = params.h, params.eps, params.lam
+    lap = dense_neumann_laplacian(g.n) if g.d == 1 else dense_neumann_laplacian_2d(g.n)
+
+    def sq_h(x):
+        return g.cell_volume * float(np.sum(x * x))
+
+    def sq_semi(x):
+        faces = sum(float(np.sum(np.diff(x, axis=a) ** 2)) for a in range(g.d))
+        return g.cell_volume * faces / g.dx**2
+
+    def sq_v(x):
+        return sq_semi(x) + sq_h(x)
+
+    led = DiagnosticsLedger(eps, lam, h, b.family, params.eta)
+    states = traj.states
+    for n in range(params.N):
+        u0, u1 = states[n].u.values, states[n + 1].u.values
+        m0, m1 = states[n].mu.values, states[n + 1].mu.values
+        du = (u1 - u0) / h
+        dmu = (m1 - m0) / h
+        z = du + h * dmu
+        led.q1 += h * solve_v0star_norm(g, Field(g, z - z.mean()), opts) ** 2
+        led.q2 += h * sq_h(du)
+        led.q4 += h * sq_v(du)
+        led.q7 += h * sq_h(dmu)
+        led.q9 += h * solve_vstar_norm(g, Field(g, du), opts) ** 2
+        led.q3 = max(led.q3, sq_v(u1))
+        led.q5 = max(led.q5, g.cell_volume * float(np.sum(u1**4)))
+        led.q6 = max(led.q6, sq_h(m1))
+        led.q8 += h * sq_semi(m1)
+        led.q10 += h * (sq_h(lap @ u1.ravel()) + sq_v(u1))
+        led.q11 += h * sq_h(beta_eval(b, u1))
+        led.q12 += h * sq_v(m1)
+    led.q2 *= lam
+    led.q3 *= eps
+    led.q4 *= eps * h
+    led.q6 *= h
+    led.q7 *= h * h
+    led.q10 *= eps * eps
+    return led
+
+
+def solve_uhat_diff_norms(view_a, view_b, opts=None):
+    """Linf(0,T;H) and L2(0,T;dual) distance of two linear reconstructions, break by break.
+
+    Each breakpoint's difference is a ``Field`` from ``u_hat``, and each
+    dual pairing uses a checked shifted solve.
+    """
+    from chemhill.elliptic import helmholtz_solve
+    from chemhill.grid import inner_h, norm_h
+
+    g = view_a.traj.grid
+    breaks = np.union1d(view_a.times, view_b.times)
+    fields = [view_a.u_hat(t) - view_b.u_hat(t) for t in breaks]
+    solved = [helmholtz_solve(g, f, opts) for f in fields]
+    l2v = 0.0
+    for k in range(len(breaks) - 1):
+        dt = breaks[k + 1] - breaks[k]
+        pairs = inner_h(fields[k], solved[k]) + inner_h(fields[k], solved[k + 1])
+        l2v += dt * (pairs + inner_h(fields[k + 1], solved[k + 1])) / 3.0
+    return float(max(norm_h(f) for f in fields)), float(np.sqrt(max(l2v, 0.0)))

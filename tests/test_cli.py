@@ -353,3 +353,33 @@ def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_main_rejects_jobs_below_one_exit_two(tmp_path, capsys, jobs):
+    conf = tmp_path / "run.ini"
+    conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
+    out = tmp_path / "study"
+    code = main(["study-h", "--config", str(conf), "--out", str(out), f"--jobs={jobs}"])
+    assert code == 2
+    assert not out.exists()
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_cli_serial_study_loads_no_process_pool(tmp_path):
+    # the pool's modules load only when a study fans out over processes
+    src = str(Path(chemhill.__file__).resolve().parents[1])
+    conf = tmp_path / "study.ini"
+    conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
+    probe = (
+        "import sys, chemhill.cli\n"
+        "def check(stage):\n"
+        "    loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
+        "    assert not loaded, (stage, loaded)\n"
+        "check('import')\n"
+        f"assert chemhill.cli.main(['study-h', '--config', {str(conf)!r}, '--out', {str(tmp_path / 'study')!r}]) == 0\n"
+        "check('study-h')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

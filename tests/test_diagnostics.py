@@ -24,6 +24,8 @@ from chemhill.scheme import (
     save_trajectory_csv,
 )
 
+import oracles
+
 # the setting check-identities uses: the identities are exact, so each step's
 # Newton iteration is polished to its residual floor, not stopped inside tol
 TIGHT = SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True)
@@ -85,6 +87,33 @@ def test_ledger_h_uniformity_smoke():
         leds.append(build_ledger(traj, b))
     for coarse, fine in zip(leds[0].qvalues(), leds[1].qvalues()):
         assert fine <= 2.0 * coarse + 1e-12
+
+
+def _random_trajectory(d, n, N, family, seed):
+    # independent random levels with nonzero mu: no smoothness or time
+    # continuity for the blocked evaluation to lean on; logit states stay in (-1, 1)
+    g = make_grid(d, n)
+    rng = np.random.default_rng(seed)
+    us, mus = [], []
+    for _ in range(N + 1):
+        raw = rng.standard_normal(g.shape)
+        us.append(Field(g, 0.9 * np.tanh(raw) if family == "logit" else raw))
+        mus.append(Field(g, rng.standard_normal(g.shape)))
+    params = SimParams(eps=0.1, lam=0.02, N=N, T=0.05 * N, eta=0.5)
+    return manual_trajectory(g, params, us, mus)
+
+
+# block sizes: 64 steps in 1D at n=32, 8 in 2D at n=16
+@pytest.mark.parametrize("family", ["logit", "power"])
+@pytest.mark.parametrize("d,n,N", [(1, 32, 1), (1, 32, 5), (1, 32, 70), (2, 16, 1), (2, 16, 5), (2, 16, 19)])
+def test_blocked_ledger_matches_per_step_oracle(d, n, N, family):
+    traj = _random_trajectory(d, n, N, family, seed=10 * N + d)
+    b = BetaSpec(family, c2=0.0) if family == "power" else BetaSpec(family)
+    got = build_ledger(traj, b)
+    want = oracles.per_step_ledger(traj, b)
+    assert got.row()[:5] == want.row()[:5]
+    for name, a, c in zip(LEDGER_COLUMNS[5:], got.qvalues(), want.qvalues()):
+        assert a == pytest.approx(c, rel=1e-12, abs=1e-300), name
 
 
 def test_ledger_csv_append(tmp_path):

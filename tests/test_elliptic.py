@@ -106,6 +106,45 @@ def test_dual_norms():
         v0star_norm(g, one)
 
 
+def _dual_norm_data(g, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.standard_normal(g.shape)
+    return sum(rng.standard_normal() * oracles.mode_values(g, k) for k in range(4))
+
+
+@pytest.mark.parametrize("kind", ["random", "smooth"])
+@pytest.mark.parametrize("d,n", [(1, 4), (1, 48), (1, 127), (2, 4), (2, 24)])
+def test_dct_coefficients_match_scipy(d, n, kind):
+    g = make_grid(d, n)
+    stack = np.stack([_dual_norm_data(g, kind, seed) for seed in range(3)])
+    want = oracles.dct_coefficients(stack)
+    got = elliptic._dct_coefficients(stack)
+    assert got.shape == stack.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["random", "smooth"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 24)])
+def test_dual_norms_match_solve_oracle(d, n, kind):
+    g = make_grid(d, n)
+    r = Field(g, _dual_norm_data(g, kind, 7))
+    r0 = Field(g, r.values - r.values.mean())
+    assert vstar_norm(g, r) == pytest.approx(oracles.solve_vstar_norm(g, r), rel=1e-13)
+    assert v0star_norm(g, r0) == pytest.approx(oracles.solve_v0star_norm(g, r0), rel=1e-13)
+
+
+def test_dual_norms_closed_form_on_a_fine_grid():
+    # a cosine mode is an eigenvector of the solve operators' symbol ev, so
+    # (r, K r)_h = |r|_h^2 / (1 - ev_k) and (r, (-Lap)^(-1) r)_h = |r|_h^2 / (-ev_k);
+    # the spectral sums make no solve, so no residual check can fail on this grid
+    g = make_grid(1, 2048)
+    r = Field(g, oracles.mode_values(g, 1))
+    ev = _eigenvalues(1, g.n)[1]
+    assert vstar_norm(g, r) ** 2 == pytest.approx(norm_h(r) ** 2 / (1.0 - ev), rel=1e-13)
+    assert v0star_norm(g, r) ** 2 == pytest.approx(norm_h(r) ** 2 / -ev, rel=1e-13)
+
+
 def _params(eps=0.1, lam=0.01, N=50, T=1.0, eta=0.0, c3=0.0):
     return SimParams(eps=eps, lam=lam, N=N, T=T, eta=eta, c3=c3)
 

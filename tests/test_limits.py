@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from chemhill.elliptic import SolverOptions
 from chemhill.grid import Field, make_grid, norm_h
 from chemhill.limits import _uhat_diff_norms, estimate_order, save_study_csv, study, summarize
 from chemhill.nonlinearity import BetaSpec, PiSpec
-from chemhill.scheme import Scenario, SimParams, interpolants, run
+from chemhill.scheme import Scenario, SimParams, StepState, Trajectory, interpolants, run
 
 import oracles
 
@@ -108,9 +110,29 @@ def test_identical_runs_have_zero_difference():
     opts = SolverOptions()
     va = interpolants(run(sc, opts))
     vb = interpolants(run(sc, opts))
-    linf, l2v = _uhat_diff_norms(va, vb, opts)
+    linf, l2v = _uhat_diff_norms(va, vb)
     assert linf == 0.0
     assert l2v == 0.0
+
+
+def _random_view(g, N, T, seed):
+    rng = np.random.default_rng(seed)
+    states = []
+    for n in range(N + 1):
+        u = Field(g, rng.standard_normal(g.shape))
+        states.append(StepState(n, u, u, u))
+    return interpolants(Trajectory(states, SimParams(eps=0.1, lam=0.01, N=N, T=T)))
+
+
+# blocks of 64 breakpoints in 1D at n=32 and of 8 in 2D at n=16; the level
+# pairs are not nested, so most breakpoints interpolate inside a step
+@pytest.mark.parametrize("d,n,Na,Nb", [(1, 32, 1, 2), (1, 32, 45, 70), (2, 16, 1, 3), (2, 16, 5, 7)])
+def test_blocked_uhat_diff_norms_match_solve_oracle(d, n, Na, Nb):
+    g = make_grid(d, n)
+    va, vb = _random_view(g, Na, 0.3, seed=Na), _random_view(g, Nb, 0.3, seed=Nb)
+    got = _uhat_diff_norms(va, vb)
+    want = oracles.solve_uhat_diff_norms(va, vb)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_study_parallel_jobs_match_serial():
@@ -134,3 +156,45 @@ def test_study_csv_and_summary(tmp_path):
     text = summarize(rep)
     assert "h axis" in text
     assert text.count("level") == 3
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each job at submit."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+def test_study_pool_is_capped_at_the_level_count(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    g = make_grid(1, 32)
+    sc = base_scenario(g, eta=0.5, N=8, T=0.05, c2=0.0)
+    pooled = study("h", sc, [8, 16], jobs=3)
+    assert _RecordingPool.sizes == [2]
+    assert pooled.diffs_l2_vstar == study("h", sc, [8, 16]).diffs_l2_vstar
+    study("h", sc, [8], jobs=4)  # one level: no pool at all
+    assert _RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_study_rejects_jobs_below_one(jobs):
+    g = make_grid(1, 32)
+    with pytest.raises(ValueError, match="jobs"):
+        study("h", base_scenario(g, c2=0.0, N=8, T=0.05), [8, 16], jobs=jobs)
