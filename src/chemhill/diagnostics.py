@@ -19,8 +19,8 @@ quantitative content of the a priori estimates:
     q12  |mu_bar|^2 in L2(0,T; V)
 
 All quantities are evaluated exactly from the piecewise-in-time structure
-of the reconstructions. The dual norms of q1 and q9 are Parseval sums on
-the DCT-II modes (``elliptic``); q1's projection onto mean zero is the
+of the reconstructions. The dual norms of q1 and q9 are Parseval sums of
+``elliptic.dual_coefficients``; q1's projection onto mean zero is the
 dropped mode 0 of the inverse Neumann Laplacian's symbol.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinearity as nl
-from .elliptic import _dct_coefficients, _dual_symbol, helmholtz_solve
+from .elliptic import dual_coefficients, helmholtz_solve
 from .grid import Field, _face_diff_sq, _laplacian, inner_h, laplacian_apply, mean, norm_h, norm_v
 
 __all__ = [
@@ -101,8 +101,6 @@ def build_ledger(traj, b):
     h, eps, lam = params.h, params.eps, params.lam
     led = DiagnosticsLedger(eps, lam, h, b.family, params.eta)
     spatial = tuple(range(-g.d, 0))
-    k_sym = _dual_symbol(g.d, g.n, 1.0)
-    p_sym = _dual_symbol(g.d, g.n, 0.0)
 
     def sq_h(x):
         # squared H norm of each stacked field
@@ -111,9 +109,10 @@ def build_ledger(traj, b):
     def sq_semi(x):
         return g.cell_volume * _face_diff_sq(x, g.dx, g.d)
 
-    def dual(x, sym):
-        c = _dct_coefficients(x)
-        return g.cell_volume * float(np.sum(sym * c * c))
+    def sq_dual(x, shift):
+        # summed squared dual norms of the stacked fields
+        w = dual_coefficients(g, x, shift)
+        return float(np.sum(w * w))
 
     for start, stop in _blocks(params.N, g.node_count):
         u = np.stack([s.u.values for s in traj.states[start : stop + 1]])
@@ -125,11 +124,11 @@ def build_ledger(traj, b):
         u1_v = sq_semi(u1) + sq_h(u1)
         m1_semi = sq_semi(m1)
 
-        led.q1 += h * dual(du + h * dmu, p_sym)
+        led.q1 += h * sq_dual(du + h * dmu, 0.0)
         led.q2 += h * float(np.sum(du_h))
         led.q4 += h * float(np.sum(sq_semi(du) + du_h))
         led.q7 += h * float(np.sum(sq_h(dmu)))
-        led.q9 += h * dual(du, k_sym)
+        led.q9 += h * sq_dual(du, 1.0)
 
         led.q3 = max(led.q3, float(np.max(u1_v)))
         led.q5 = max(led.q5, float(np.max(g.cell_volume * np.sum(u1**4, axis=spatial))))

@@ -20,12 +20,20 @@ residual misses the check does one round of iterative refinement and is
 checked again. The first residual passes on every solve of the benchmark
 workloads (1D n=256, 2D n=48 and 64) and misses on some at 1D n=512.
 
-The dual norms (r, (I - Lap)^(-1) r)_h and (r, (-Lap)^(-1) r)_h need no
-solve: with c = C r the orthonormal DCT-II coefficients, each is the exact
-Parseval sum h^d * sum_k mult_k * c_k^2 over the operator's symbol, so
-they raise no SolverFailure. ``_dct_coefficients`` computes c for a stack
-of fields at once (the mirror rfft in 1D, C X C^T in 2D), which is how
-``diagnostics`` and ``limits`` evaluate a whole trajectory in blocks.
+Every linear operator of the scheme is a member shift*I - alpha*Lap of
+one family, and ``_inverse_symbol`` is the one table of their inverse
+symbols: each solve, the Newton residual's K and the dual pairings read
+their multiplier from it. A checked solve names its operator by
+(shift, alpha), so its multiplier and its stencil residual describe the
+same operator.
+
+The dual pairings (a, (I - Lap)^(-1) b)_h and (a, (-Lap)^(-1) b)_h need no
+solve: with c = C x the orthonormal DCT-II coefficients, each is the exact
+Parseval sum h^d * sum_k sym_k * c_k(a) * c_k(b) over the inverse symbol.
+``dual_coefficients`` returns sqrt(h^d * sym) * C x for a stack of fields
+at once (the mirror rfft in 1D, C X C^T in 2D), so a pairing is a plain sum
+of products and raises no SolverFailure; ``diagnostics`` and ``limits``
+evaluate a whole trajectory in blocks that way.
 
 The nonlinear per-step equation
 
@@ -61,6 +69,7 @@ __all__ = [
     "helmholtz_solve",
     "neumann_poisson_solve",
     "source_potential",
+    "dual_coefficients",
     "vstar_norm",
     "v0star_norm",
     "step_solve",
@@ -197,27 +206,34 @@ def _dct_coefficients(stack):
 
 
 @functools.lru_cache(maxsize=16)
-def _dual_symbol(d, n, shift):
-    """Symbol of (shift*I - Lap)^(-1) on the DCT-II modes; 0 where shift - ev is 0. Read-only.
+def _inverse_symbol(d, n, shift, alpha):
+    """Symbol of (shift*I - alpha*Lap)^(-1) on the DCT-II modes; 0 where the denominator is 0. Read-only.
 
-    shift=1 is the shifted operator K; shift=0 the inverse Neumann Laplacian
-    on mean-zero data, whose dropped mode 0 is the projection onto mean zero.
+    shift=1 gives the shifted operators (alpha=1: K = (I - Lap)^(-1));
+    shift=0, alpha=1 the inverse Neumann Laplacian on mean-zero data, whose
+    dropped mode 0 is the projection onto mean zero.
     """
-    den = shift - _eigenvalues(d, n)
+    den = shift - alpha * _eigenvalues(d, n)
     sym = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
     sym.setflags(write=False)
     return sym
 
 
-def _checked_solve(b, mult, stencil_residual, tol, what):
-    # spectral solve, then the stencil residual check; one refinement round
-    # only when the first residual misses it (Higham 2002, ch. 12)
+def _checked_solve(g, b, shift, alpha, tol, what):
+    # spectral solve of (shift*I - alpha*Lap) x = b, then the stencil residual
+    # check; one refinement round only when the first residual misses it
+    # (Higham 2002, ch. 12)
+    mult = _inverse_symbol(g.d, g.n, shift, alpha)
+
+    def residual(x):
+        return b - (shift * x - alpha * _laplacian(x, g.dx))
+
     x = _dct_apply(b, mult)
-    res = stencil_residual(x)
+    res = residual(x)
     rnorm = float(np.linalg.norm(res))
     if rnorm > tol:
         x = x + _dct_apply(res, mult)
-        rnorm = float(np.linalg.norm(stencil_residual(x)))
+        rnorm = float(np.linalg.norm(residual(x)))
         if rnorm > tol:
             raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
     return x
@@ -233,13 +249,9 @@ def helmholtz_solve(g, rhs, opts=None, alpha=1.0):
     opts = opts or SolverOptions()
     if not g.matches(rhs.grid):
         raise ValueError(f"grid mismatch: {g} vs {rhs.grid}")
-    mult = 1.0 / (1.0 - alpha * _eigenvalues(g.d, g.n))
     b = rhs.values
     tol = opts.lin_tol * max(1.0, float(np.linalg.norm(b)))
-    x = _checked_solve(
-        b, mult, lambda x: b - (x - alpha * _laplacian(x, g.dx)), tol, "shifted Neumann"
-    )
-    return Field(g, x)
+    return Field(g, _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann"))
 
 
 def neumann_poisson_solve(g, rhs, opts=None):
@@ -255,12 +267,9 @@ def neumann_poisson_solve(g, rhs, opts=None):
     m = mean(rhs)
     if abs(m) > 1e-10:
         raise CompatibilityError(f"right-hand side must have zero average, got {m:.3e}")
-    ev = _eigenvalues(g.d, g.n)
-    mult = np.divide(-1.0, ev, out=np.zeros_like(ev), where=ev != 0.0)
     b = rhs.values - rhs.values.mean()
     tol = opts.lin_tol * float(np.linalg.norm(b))
-    x = _checked_solve(b, mult, lambda x: b + _laplacian(x, g.dx), tol, "mean-zero Poisson")
-    return Field(g, x)
+    return Field(g, _checked_solve(g, b, 0.0, 1.0, tol, "mean-zero Poisson"))
 
 
 def source_potential(g, g_field, opts=None):
@@ -268,16 +277,23 @@ def source_potential(g, g_field, opts=None):
     return neumann_poisson_solve(g, g_field, opts)
 
 
-def _dual_norm(g, r, shift):
-    if not g.matches(r.grid):
-        raise ValueError(f"grid mismatch: {g} vs {r.grid}")
-    c = _dct_coefficients(r.values[None])
-    return float(np.sqrt(g.cell_volume * np.sum(_dual_symbol(g.d, g.n, shift) * c * c)))
+def dual_coefficients(g, stack, shift=1.0):
+    """Weighted DCT-II coefficients sqrt(h^d * sym) * C x of each field of ``stack`` (leading batch axis).
+
+    sym is the symbol of (shift*I - Lap)^(-1), so the plain sum of products
+    of the coefficients of a and b is the dual pairing (a, (shift*I - Lap)^(-1) b)_h:
+    shift=1 pairs in V*, shift=0 pairs mean-zero data with the inverse
+    Neumann Laplacian (mode 0, the mean, is dropped).
+    """
+    if stack.shape[1:] != g.shape:
+        raise ValueError(f"grid mismatch: {g} vs fields of shape {stack.shape[1:]}")
+    weight = np.sqrt(g.cell_volume * _inverse_symbol(g.d, g.n, shift, 1.0))
+    return weight * _dct_coefficients(stack)
 
 
 def vstar_norm(g, r):
     """Dual H1 norm sqrt((r, (I - Lap)^(-1) r)_h), as a Parseval sum on the DCT-II modes."""
-    return _dual_norm(g, r, 1.0)
+    return float(np.linalg.norm(dual_coefficients(g, r.values[None], 1.0)))
 
 
 def v0star_norm(g, r):
@@ -285,7 +301,7 @@ def v0star_norm(g, r):
     m = mean(r)
     if abs(m) > 1e-10:
         raise CompatibilityError(f"argument must have zero average, got {m:.3e}")
-    return _dual_norm(g, r, 0.0)
+    return float(np.linalg.norm(dual_coefficients(g, r.values[None], 0.0)))
 
 
 def step_solve(g, params, b, p, rhs, warm, opts=None):
@@ -345,7 +361,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
         )
     if not g.matches(rhs.grid) or not g.matches(warm.grid):
         raise ValueError("grid mismatch in step_solve")
-    k_mult = 1.0 / (1.0 - _eigenvalues(g.d, g.n))
+    k_mult = _inverse_symbol(g.d, g.n, 1.0, 1.0)
     rhs_v = rhs.values
     rhs_scale = max(1.0, norm_h(rhs))
     tol = opts.newton_tol * rhs_scale

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import LEDGER_COLUMNS, _blocks, build_ledger
-from .elliptic import SolverFailure, SolverOptions, _dct_coefficients, _dual_symbol
+from .elliptic import SolverFailure, SolverOptions, dual_coefficients
 from .scheme import interpolants, run
 
 __all__ = ["StudyReport", "study", "estimate_order", "save_study_csv", "summarize"]
@@ -86,23 +86,22 @@ def _uhat_diff_norms(view_a, view_b):
     exact: the Linf over a segment of a norm of a linear path is attained at
     an endpoint, and the squared dual norm integrates by the endpoint rule
     (ip(a,a) + ip(a,b) + ip(b,b))/3 per segment. The breakpoints are taken
-    in blocks, and each pairing ip(a,b) = (a, (I - Lap)^(-1) b)_h is a
-    Parseval sum over the DCT-II coefficients of a and b.
+    in blocks, and each pairing ip(a,b) = (a, (I - Lap)^(-1) b)_h is the
+    sum of products of the ``dual_coefficients`` of a and b.
     """
     g = view_a.traj.grid
     spatial = tuple(range(-g.d, 0))
-    sym = _dual_symbol(g.d, g.n, 1.0)
     breaks = np.union1d(view_a.times, view_b.times)
     linf_sq = l2v = 0.0
     for start, stop in _blocks(len(breaks) - 1, g.node_count):
         ts = breaks[start : stop + 1]
         diff = view_a.u_hat_values(ts) - view_b.u_hat_values(ts)
         linf_sq = max(linf_sq, float(np.max(np.sum(diff * diff, axis=spatial))))
-        c = _dct_coefficients(diff)
-        own = np.sum(sym * c * c, axis=spatial)
-        cross = np.sum(sym * c[:-1] * c[1:], axis=spatial)
+        w = dual_coefficients(g, diff, 1.0)
+        own = np.sum(w * w, axis=spatial)
+        cross = np.sum(w[:-1] * w[1:], axis=spatial)
         l2v += float(np.sum(np.diff(ts) * (own[:-1] + cross + own[1:]))) / 3.0
-    return float(np.sqrt(g.cell_volume * linf_sq)), float(np.sqrt(max(g.cell_volume * l2v, 0.0)))
+    return float(np.sqrt(g.cell_volume * linf_sq)), float(np.sqrt(max(l2v, 0.0)))
 
 
 def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=None):

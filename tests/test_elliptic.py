@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemhill.diagnostics
 import chemhill.elliptic as elliptic
+import chemhill.limits
 
 from chemhill.elliptic import (
     CompatibilityError,
@@ -143,6 +145,43 @@ def test_dual_norms_closed_form_on_a_fine_grid():
     ev = _eigenvalues(1, g.n)[1]
     assert vstar_norm(g, r) ** 2 == pytest.approx(norm_h(r) ** 2 / (1.0 - ev), rel=1e-13)
     assert v0star_norm(g, r) ** 2 == pytest.approx(norm_h(r) ** 2 / -ev, rel=1e-13)
+
+
+@pytest.mark.parametrize("solver", ["shifted", "poisson", "step"])
+def test_repeat_solve_builds_no_new_symbol(solver):
+    # the inverse symbols come from one cached table, not from each call
+    g = make_grid(2, 10)
+    rhs = Field(g, 0.3 * oracles.mode_values(g, 1))
+    solve = {
+        "shifted": lambda: helmholtz_solve(g, rhs, alpha=0.3),
+        "poisson": lambda: neumann_poisson_solve(g, rhs),
+        "step": lambda: step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, rhs),
+    }[solver]
+    solve()
+    tables = (elliptic._inverse_symbol, elliptic._eigenvalues, elliptic._dct_matrix)
+    misses = [t.cache_info().misses for t in tables]
+    solve()
+    assert [t.cache_info().misses for t in tables] == misses
+
+
+@pytest.mark.parametrize("module", [chemhill.diagnostics, chemhill.limits])
+def test_post_processing_binds_no_transform_or_symbol(module):
+    # the dual pairings come from elliptic.dual_coefficients alone
+    spectral = ("_dct_apply", "_dct_coefficients", "_dct_matrix", "_dct_phase", "_eigenvalues", "_inverse_symbol")
+    assert not set(spectral) & set(vars(module))
+    spectral_objects = [getattr(elliptic, name) for name in spectral]
+    assert not [v for v in vars(module).values() if any(v is f for f in spectral_objects)]
+
+
+def test_dual_coefficients_pair_as_the_solve_oracle():
+    # plain products of the weighted coefficients are the dual pairings
+    g = make_grid(2, 12)
+    a, b = (_dual_norm_data(g, "random", seed) for seed in (1, 2))
+    w = elliptic.dual_coefficients(g, np.stack([a, b]), 1.0)
+    want = inner_h(Field(g, a), Field(g, oracles.refined_shifted_solve(b)))
+    assert float(np.sum(w[0] * w[1])) == pytest.approx(want, rel=1e-13)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        elliptic.dual_coefficients(make_grid(2, 8), np.stack([a]))
 
 
 def _params(eps=0.1, lam=0.01, N=50, T=1.0, eta=0.0, c3=0.0):
