@@ -382,6 +382,17 @@ def test_dct_apply_matches_scipy_oracle(d, n, kind):
     assert np.linalg.norm(got - want) <= tol
 
 
+@pytest.mark.parametrize("n", [256, 2048, 8192])
+def test_eigenvalues_keep_low_modes_accurate(n):
+    # the lowest nonzero mode against -4 sin^2(pi/(2n)) n^2 in 40 digits;
+    # 2cos(pi/n) - 2 cancels here (5.6e-10 relative at n=8192)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(-4 * mpmath.sin(mpmath.pi / (2 * n)) ** 2 * n**2)
+    got = _eigenvalues(1, n)[1]
+    assert abs(got - want) <= 4 * np.spacing(abs(want))
+
+
 @pytest.mark.parametrize("n", [4, 5, 7, 48, 64, 128, 255])
 def test_dct_matrix_is_orthonormal(n):
     c = _dct_matrix(n)
