@@ -13,6 +13,9 @@ unknown keys are rejected so typos surface immediately):
     [output]  directory, snapshot_stride
     [study]   h_levels, lambda_levels, epsilon_levels (comma lists; optional)
 
+Each key is declared once, in the metadata of its ``ScenarioConfig``
+field; the field's annotation picks the converter.
+
 A relative ``path`` in [initial] or [source] names a file next to the
 config: it resolves against the directory of the ``--config`` file, not the
 working directory (``parse_config`` on text alone resolves against the
@@ -30,7 +33,7 @@ import configparser
 import io
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -55,41 +58,46 @@ class ConfigError(ValueError):
         self.violations = list(violations)
 
 
+def _ini(section, key, default):
+    # a ScenarioConfig field read from ``key`` in ``[section]``
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass
 class ScenarioConfig:
-    d: int = 1
-    n: int = 64
-    eps: float = 0.1
-    lam: float = 0.01
-    N: int = 64
-    T: float = 0.5
-    eta: float = 0.0
-    c3: float = 0.0
-    beta_family: str = "power"
-    m: float = 3.0
-    c1: float = None  # None defers to the family defaults
-    c2: float = None
-    pi_family: str = "zero"
-    initial_preset: str = "cosine"
-    initial_c: float = 0.0
-    initial_k: int = 1
-    initial_amplitude: float = 1.0
-    initial_path: str = ""
-    smooth: bool = True
-    source_preset: str = "zero"
-    source_k: int = 1
-    source_amplitude: float = 1.0
-    source_ramp: float = 0.0
-    source_role: str = "g"
-    source_path: str = ""
-    lin_tol: float = 1e-11
-    newton_tol: float = 1e-10
-    max_newton: int = 50
-    directory: str = "out"
-    snapshot_stride: int = 1
-    h_levels: tuple = None
-    lambda_levels: tuple = None
-    epsilon_levels: tuple = None
+    d: int = _ini("grid", "d", 1)
+    n: int = _ini("grid", "n", 64)
+    eps: float = _ini("params", "eps", 0.1)
+    lam: float = _ini("params", "lambda", 0.01)
+    N: int = _ini("params", "N", 64)
+    T: float = _ini("params", "T", 0.5)
+    eta: float = _ini("params", "eta", 0.0)
+    c3: float = _ini("params", "c3", 0.0)
+    beta_family: str = _ini("beta", "family", "power")
+    m: float = _ini("beta", "m", 3.0)
+    c1: float = _ini("beta", "c1", None)  # None defers to the family defaults
+    c2: float = _ini("beta", "c2", None)
+    pi_family: str = _ini("pi", "family", "zero")
+    initial_preset: str = _ini("initial", "preset", "cosine")
+    initial_c: float = _ini("initial", "c", 0.0)
+    initial_k: int = _ini("initial", "k", 1)
+    initial_amplitude: float = _ini("initial", "amplitude", 1.0)
+    initial_path: str = _ini("initial", "path", "")
+    smooth: bool = _ini("initial", "smooth", True)
+    source_preset: str = _ini("source", "preset", "zero")
+    source_k: int = _ini("source", "k", 1)
+    source_amplitude: float = _ini("source", "amplitude", 1.0)
+    source_ramp: float = _ini("source", "ramp", 0.0)
+    source_role: str = _ini("source", "role", "g")
+    source_path: str = _ini("source", "path", "")
+    lin_tol: float = _ini("solver", "lin_tol", 1e-11)
+    newton_tol: float = _ini("solver", "newton_tol", 1e-10)
+    max_newton: int = _ini("solver", "max_newton", 50)
+    directory: str = _ini("output", "directory", "out")
+    snapshot_stride: int = _ini("output", "snapshot_stride", 1)
+    h_levels: tuple = _ini("study", "h_levels", None)
+    lambda_levels: tuple = _ini("study", "lambda_levels", None)
+    epsilon_levels: tuple = _ini("study", "epsilon_levels", None)
 
     def sim_params(self):
         return SimParams(eps=self.eps, lam=self.lam, N=self.N, T=self.T, eta=self.eta, c3=self.c3)
@@ -102,7 +110,6 @@ class ScenarioConfig:
         )
 
 
-# section -> key -> (attribute, converter)
 def _to_bool(s):
     low = s.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -119,54 +126,17 @@ def _to_levels(s):
     return vals
 
 
-_SCHEMA = {
-    "grid": {"d": ("d", int), "n": ("n", int)},
-    "params": {
-        "eps": ("eps", float),
-        "lambda": ("lam", float),
-        "N": ("N", int),
-        "T": ("T", float),
-        "eta": ("eta", float),
-        "c3": ("c3", float),
-    },
-    "beta": {
-        "family": ("beta_family", str),
-        "m": ("m", float),
-        "c1": ("c1", float),
-        "c2": ("c2", float),
-    },
-    "pi": {"family": ("pi_family", str)},
-    "initial": {
-        "preset": ("initial_preset", str),
-        "c": ("initial_c", float),
-        "k": ("initial_k", int),
-        "amplitude": ("initial_amplitude", float),
-        "path": ("initial_path", str),
-        "smooth": ("smooth", _to_bool),
-    },
-    "source": {
-        "preset": ("source_preset", str),
-        "k": ("source_k", int),
-        "amplitude": ("source_amplitude", float),
-        "ramp": ("source_ramp", float),
-        "role": ("source_role", str),
-        "path": ("source_path", str),
-    },
-    "solver": {
-        "lin_tol": ("lin_tol", float),
-        "newton_tol": ("newton_tol", float),
-        "max_newton": ("max_newton", int),
-    },
-    "output": {
-        "directory": ("directory", str),
-        "snapshot_stride": ("snapshot_stride", int),
-    },
-    "study": {
-        "h_levels": ("h_levels", _to_levels),
-        "lambda_levels": ("lambda_levels", _to_levels),
-        "epsilon_levels": ("epsilon_levels", _to_levels),
-    },
-}
+def _schema():
+    # section -> key -> (attribute, converter); the converter follows the annotation
+    converters = {bool: _to_bool, tuple: _to_levels}
+    schema = {}
+    for f in dc_fields(ScenarioConfig):
+        section, key = f.metadata["ini"]
+        schema.setdefault(section, {})[key] = (f.name, converters.get(f.type, f.type))
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def parse_config(text, base_dir="."):

@@ -17,7 +17,9 @@ Axis conventions:
              limit.
 """
 
+import contextlib
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +62,6 @@ def _level_value(axis, scenario):
     return scenario.params.eps
 
 
-def _run_level(args):
-    scenario, opts = args
-    return run(scenario, opts)
-
-
 def estimate_order(diffs, ratios=None, floor=0.0):
     """Observed orders log(d_k / d_{k+1}) / log(ratio_k); None below the noise floor."""
     if ratios is None:
@@ -104,38 +101,32 @@ def _uhat_diff_norms(view_a, view_b):
     return float(np.sqrt(g.cell_volume * linf_sq)), float(np.sqrt(max(l2v, 0.0)))
 
 
-def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=None):
+def study(axis, base_scenario, levels, opts=None, jobs=1):
     """Run one trajectory per level and tabulate consecutive differences.
 
     Parameters
     ----------
     axis : {"h", "lambda", "epsilon"}
     base_scenario : Scenario
-        Template; the axis parameter is overridden per level.
+        Template; the axis parameter is overridden per level. Its graph
+        also serves every level's ledger.
     levels : sequence
         Step counts N (increasing) for the h axis, parameter values
         (decreasing) otherwise.
-    b : BetaSpec, optional
-        Graph for the ledger; defaults to the scenario's.
     opts : SolverOptions, optional
     jobs : int
         At least 1. Level runs fan out over a pool of min(jobs, level
         count) processes when that is more than one.
-    noise_floor : float, optional
-        Orders are suppressed below this difference level; defaults to
-        10 * newton_tol.
 
-    A level whose run fails marks the report failed and truncates the
-    tables after the last successful level.
+    Orders are suppressed below the noise floor 10 * newton_tol. A level
+    whose run fails marks the report failed and truncates the tables after
+    the last successful level.
     """
     if axis not in AXES:
         raise ValueError(f"unknown study axis {axis!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     opts = opts or SolverOptions()
-    b = b or base_scenario.beta
-    if noise_floor is None:
-        noise_floor = 10.0 * opts.newton_tol
     scenarios = [_level_scenario(axis, base_scenario, lv) for lv in levels]
     for sc in scenarios:
         sc.params.validate()
@@ -146,38 +137,34 @@ def study(axis, base_scenario, levels, b=None, opts=None, jobs=1, noise_floor=No
     report = StudyReport(axis=axis, levels=values)
     trajectories = []
     workers = min(jobs, len(scenarios))
-    if workers > 1:
-        # imported here, so a serial run never loads the pool's modules
-        # (multiprocessing, socket, subprocess)
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here, so a serial run never loads the pool's modules
+            # (multiprocessing, socket, subprocess)
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_level, (sc, opts)) for sc in scenarios]
-            for lv, fut in zip(values, futures):
-                try:
-                    trajectories.append(fut.result())
-                except (SolverFailure, ValueError) as exc:
-                    report.failed_level = lv
-                    report.failure_message = str(exc)
-                    break
-    else:
-        for lv, sc in zip(values, scenarios):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = [pool.submit(run, sc, opts).result for sc in scenarios]
+        else:
+            results = [functools.partial(run, sc, opts) for sc in scenarios]
+        for lv, result in zip(values, results):
             try:
-                trajectories.append(run(sc, opts))
+                trajectories.append(result())
             except (SolverFailure, ValueError) as exc:
                 report.failed_level = lv
                 report.failure_message = str(exc)
                 break
 
-    report.ledgers = [build_ledger(tr, b) for tr in trajectories]
+    report.ledgers = [build_ledger(tr, base_scenario.beta) for tr in trajectories]
     views = [interpolants(tr) for tr in trajectories]
     for va, vb in zip(views, views[1:]):
         linf, l2v = _uhat_diff_norms(va, vb)
         report.diffs_linf_h.append(linf)
         report.diffs_l2_vstar.append(l2v)
     ratios = [v0 / v1 for v0, v1 in zip(values, values[1:])][: max(len(report.diffs_linf_h) - 1, 0)]
-    report.orders_linf_h = estimate_order(report.diffs_linf_h, ratios, noise_floor)
-    report.orders_l2_vstar = estimate_order(report.diffs_l2_vstar, ratios, noise_floor)
+    floor = 10.0 * opts.newton_tol
+    report.orders_linf_h = estimate_order(report.diffs_linf_h, ratios, floor)
+    report.orders_l2_vstar = estimate_order(report.diffs_l2_vstar, ratios, floor)
     return report
 
 

@@ -17,8 +17,9 @@ primitive(0) = 0:
 
 The resolvent r + tau*beta(r) = s and the induced Lipschitz regularization
 (r - resolvent(r))/tau are defined on all of R even when the graph domain
-is bounded, which is what lets the step solver's fallback continuation
-iterate freely before its final pass with the exact graph.
+is bounded, which is what lets ``diagnostics`` probe the graph/Laplacian
+pairing and certify growth constants on fields and scans that leave the
+domain. The step solver uses the exact graph alone.
 
 The perturbation family pi is anti-monotone and Lipschitz with the budget
 |pi(0)| + sup|pi'| <= c3*eps.

@@ -198,8 +198,9 @@ def run(scenario, opts=None):
     params = scenario.params
     params.validate()
 
+    zero = Field(g, np.zeros(g.shape))
     if scenario.source is None:
-        f_fields = [Field(g, np.zeros(g.shape)) for _ in range(params.N)]
+        f_fields = [zero] * params.N
         probes = []
     elif scenario.source.kind == "g":
         probes = average_sources(scenario.source, params, g)
@@ -216,7 +217,6 @@ def run(scenario, opts=None):
         u0e = helmholtz_solve(g, scenario.u0, opts, alpha=params.eps)
     else:
         u0e = scenario.u0
-    zero = Field(g, np.zeros(g.shape))
     state = StepState(0, u0e, zero, helmholtz_solve(g, u0e, opts))
     states = [state]
     for k in range(params.N):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import chemhill.scheme
-from chemhill.cli import ConfigError, build_scenario, dispatch, main, parse_config
+from chemhill.cli import ConfigError, ScenarioConfig, build_scenario, dispatch, main, parse_config
 from chemhill.elliptic import SolverFailure
 from chemhill.grid import load_field_csv, make_grid
 
@@ -97,6 +98,90 @@ def test_parse_collects_all_violations_at_once():
     assert "lambda" in joined
     assert "N" in joined
     assert "n >= 4" in joined
+
+
+# every key of the config grammar, each at a value other than its default
+EVERY_KEY = """
+[grid]
+d = 2
+n = 40
+
+[params]
+eps = 0.2
+lambda = 0.02
+N = 40
+T = 0.4
+eta = 0.5
+c3 = 0.5
+
+[beta]
+family = logit
+m = 4
+c1 = 0.5
+c2 = 2
+
+[pi]
+family = tanh_decay
+
+[initial]
+preset = csv
+c = 0.25
+k = 2
+amplitude = 0.5
+path = /data/u0.csv
+smooth = off
+
+[source]
+preset = csv-series
+k = 3
+amplitude = 2
+ramp = 1
+role = f
+path = /data/g.csv
+
+[solver]
+lin_tol = 1e-12
+newton_tol = 1e-11
+max_newton = 20
+
+[output]
+directory = results
+snapshot_stride = 2
+
+[study]
+h_levels = 40, 80
+lambda_levels = 0.02, 0.01
+epsilon_levels = 0.2, 0.1
+"""
+
+
+def _render_ini(cfg):
+    # each field's value written under its own [section] key
+    sections = {}
+    for f in dataclasses.fields(cfg):
+        section, key = f.metadata["ini"]
+        value = getattr(cfg, f.name)
+        text = ", ".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n" for name, lines in sections.items())
+
+
+def test_every_field_round_trips_through_its_key():
+    want = ScenarioConfig(
+        d=2, n=40, eps=0.2, lam=0.02, N=40, T=0.4, eta=0.5, c3=0.5,
+        beta_family="logit", m=4.0, c1=0.5, c2=2.0, pi_family="tanh_decay",
+        initial_preset="csv", initial_c=0.25, initial_k=2, initial_amplitude=0.5,
+        initial_path="/data/u0.csv", smooth=False,
+        source_preset="csv-series", source_k=3, source_amplitude=2.0, source_ramp=1.0,
+        source_role="f", source_path="/data/g.csv",
+        lin_tol=1e-12, newton_tol=1e-11, max_newton=20,
+        directory="results", snapshot_stride=2,
+        h_levels=(40.0, 80.0), lambda_levels=(0.02, 0.01), epsilon_levels=(0.2, 0.1),
+    )
+    default = ScenarioConfig()
+    assert [f.name for f in dataclasses.fields(want) if getattr(want, f.name) == getattr(default, f.name)] == []
+    assert parse_config(EVERY_KEY) == want
+    assert parse_config(_render_ini(want)) == want
 
 
 def test_build_scenario_materializes_fields():

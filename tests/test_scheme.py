@@ -136,6 +136,16 @@ def test_zero_data_stays_zero():
         assert norm_h(s.mu) <= 1e-12
 
 
+def test_run_without_source_shares_one_zero_field():
+    # no forcing: every step's source is the zero field that is also mu_0
+    g = make_grid(1, 16)
+    params = SimParams(eps=0.1, lam=0.05, N=6, T=0.05)
+    traj = run(cosine_scenario(g, params, c2=0.0), TIGHT)
+    assert len(traj.sources) == params.N
+    assert all(f is traj.states[0].mu for f in traj.sources)
+    assert not np.any(traj.states[0].mu.values)
+
+
 def test_smoke_run_power_graph_bounded_states():
     g = make_grid(1, 64)
     params = SimParams(eps=0.1, lam=0.05, N=32, T=0.5, eta=0.5)
