@@ -282,7 +282,7 @@ def source_potential(g, g_field, opts=None):
     return neumann_poisson_solve(g, g_field, opts)
 
 
-def dual_coefficients(g, stack, shift=1.0):
+def dual_coefficients(g, stack, shift):
     """Weighted DCT-II coefficients sqrt(h^d * sym) * C x of each field of ``stack`` (leading batch axis).
 
     sym is the symbol of (shift*I - Lap)^(-1), so the plain sum of products

@@ -181,7 +181,7 @@ def test_dual_coefficients_pair_as_the_solve_oracle():
     want = inner_h(Field(g, a), Field(g, oracles.refined_shifted_solve(b)))
     assert float(np.sum(w[0] * w[1])) == pytest.approx(want, rel=1e-13)
     with pytest.raises(ValueError, match="grid mismatch"):
-        elliptic.dual_coefficients(make_grid(2, 8), np.stack([a]))
+        elliptic.dual_coefficients(make_grid(2, 8), np.stack([a]), 1.0)
 
 
 def _params(eps=0.1, lam=0.01, N=50, T=1.0, eta=0.0, c3=0.0):
