@@ -31,6 +31,7 @@ across repeated runs of the same config.
 import argparse
 import configparser
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
@@ -224,15 +225,10 @@ def _semantic_violations(cfg):
 # scenario materialization
 
 
-def _axis_profile(grid, k):
-    return np.cos(k * np.pi * grid.axis)
-
-
 def _separable(grid, k):
-    if grid.d == 1:
-        return _axis_profile(grid, k)
-    ax = _axis_profile(grid, k)
-    return np.outer(ax, ax)
+    # cos(k*pi*x), and its product cos(k*pi*x)*cos(k*pi*y) in 2D
+    ax = np.cos(k * np.pi * grid.axis)
+    return ax if grid.d == 1 else np.outer(ax, ax)
 
 
 class CosineSource:
@@ -254,6 +250,8 @@ class CsvSeriesSource:
 
     Node indices are C-order flat indices into a grid of ``node_count``
     nodes; an index outside ``[0, node_count)`` is rejected, never wrapped.
+    A non-finite time or value and a second row for one (t, node) pair are
+    rejected too, with their line number.
     """
 
     def __init__(self, path, node_count, role="g"):
@@ -268,12 +266,17 @@ class CsvSeriesSource:
                 if not line.strip():
                     continue
                 t, node, value = line.strip().split(",")
-                node = int(node)
+                t, node, value = float(t), int(node), float(value)
                 if not 0 <= node < node_count:
                     raise ValueError(
                         f"csv-series line {lineno}: node {node} outside 0..{node_count - 1}"
                     )
-                blocks.setdefault(float(t), {})[node] = float(value)
+                if not (math.isfinite(t) and math.isfinite(value)):
+                    raise ValueError(f"csv-series line {lineno}: non-finite entry t={t}, value={value}")
+                block = blocks.setdefault(t, {})
+                if node in block:
+                    raise ValueError(f"csv-series line {lineno}: second row for t={t}, node {node}")
+                block[node] = value
         if not blocks:
             raise ValueError("csv-series file holds no rows")
         self.times = sorted(blocks)
@@ -389,11 +392,11 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs):
     return 0 if report.failed_level is None else 1
 
 
-def _cmd_validate(cfg, scenario, outdir, seed):
+def _cmd_validate(cfg, scenario, outdir):
     probes = []
     if scenario.source is not None and scenario.source.kind == "g":
         probes = average_sources(scenario.source, scenario.params, scenario.grid)
-    report = validate_assumptions(scenario.beta, scenario.pi, scenario.u0, probes, seed=seed)
+    report = validate_assumptions(scenario.beta, scenario.pi, scenario.u0, probes)
     text = report.render()
     print(text)
     if outdir is not None:
@@ -426,7 +429,7 @@ def _cmd_check_identities(cfg, scenario):
     return 0 if ok else 1
 
 
-def dispatch(command, cfg, jobs=1, outdir=None, seed=0):
+def dispatch(command, cfg, jobs=1, outdir=None):
     """Run one command against a validated config; returns the exit status."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -442,7 +445,7 @@ def dispatch(command, cfg, jobs=1, outdir=None, seed=0):
     if command.startswith("study-"):
         return _cmd_study(cfg, scenario, command.split("-", 1)[1], out, jobs)
     if command == "validate":
-        return _cmd_validate(cfg, scenario, out if outdir is not None else None, seed)
+        return _cmd_validate(cfg, scenario, out if outdir is not None else None)
     return _cmd_check_identities(cfg, scenario)
 
 
@@ -461,7 +464,6 @@ def main(argv=None):
         "--jobs", type=int, default=1, help="worker processes for study levels (at most one per level)"
     )
     parser.add_argument("--out", default=None, help="output directory (default: config output.directory)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized validation samples")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         print(f"usage error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
@@ -479,7 +481,7 @@ def main(argv=None):
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    return dispatch(args.command, cfg, jobs=args.jobs, outdir=args.out, seed=args.seed)
+    return dispatch(args.command, cfg, jobs=args.jobs, outdir=args.out)
 
 
 if __name__ == "__main__":

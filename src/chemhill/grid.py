@@ -17,6 +17,7 @@ inverts it.
 """
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -244,18 +245,21 @@ def save_field_csv(u, path):
 def load_field_csv(g, path):
     """Read a field written by :func:`save_field_csv` onto grid ``g``."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader(fh), [])
         if len(header) != g.d + 1:
             raise ValueError(f"expected {g.d + 1} columns, found {len(header)}")
-        rows = [[float(x) for x in row] for row in reader if row]
-    if len(rows) != g.node_count:
-        raise ValueError(f"expected {g.node_count} rows, found {len(rows)}")
-    if any(len(row) != g.d + 1 for row in rows):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: the count check says so
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"every row must hold {g.d + 1} values: {exc}") from exc
+    if len(data) != g.node_count:
+        raise ValueError(f"expected {g.node_count} rows, found {len(data)}")
+    if data.shape[1] != g.d + 1:
         raise ValueError(f"every row must hold {g.d + 1} values")
-    data = np.asarray(rows)
     coords = [c.ravel() for c in g.coords()]
     for axis in range(g.d):
-        if np.max(np.abs(data[:, axis] - coords[axis])) > 1e-12:
+        if not np.all(np.abs(data[:, axis] - coords[axis]) <= 1e-12):
             raise ValueError("node coordinates in file do not match the grid")
     return Field(g, data[:, -1])

@@ -88,7 +88,9 @@ def _uhat_diff_norms(view_a, view_b):
     """
     g = view_a.traj.grid
     spatial = tuple(range(-g.d, 0))
-    breaks = np.union1d(view_a.times, view_b.times)
+    # np.union1d of the two sorted time grids, without np.unique (which imports numpy.ma)
+    breaks = np.sort(np.concatenate([view_a.times, view_b.times]))
+    breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
     linf_sq = l2v = 0.0
     for start, stop in _blocks(len(breaks) - 1, g.node_count):
         ts = breaks[start : stop + 1]
@@ -176,23 +178,10 @@ def save_study_csv(report, path):
             ["axis", "level", "diff_linf_h", "diff_l2_vstar", "order_linf_h", "order_l2_vstar"]
             + LEDGER_COLUMNS
         )
-        for i, lv in enumerate(report.levels):
-            if i >= len(report.ledgers):
-                break
-
-            def cell(seq, k):
-                if k < len(seq) and seq[k] is not None:
-                    return f"{seq[k]:.17g}"
-                return ""
-
-            row = [
-                report.axis,
-                f"{lv:.17g}",
-                cell(report.diffs_linf_h, i),
-                cell(report.diffs_l2_vstar, i),
-                cell(report.orders_linf_h, i),
-                cell(report.orders_l2_vstar, i),
-            ]
+        columns = (report.diffs_linf_h, report.diffs_l2_vstar, report.orders_linf_h, report.orders_l2_vstar)
+        for i, lv in enumerate(report.levels[: len(report.ledgers)]):
+            row = [report.axis, f"{lv:.17g}"]
+            row += [f"{seq[i]:.17g}" if i < len(seq) and seq[i] is not None else "" for seq in columns]
             row += [
                 x if isinstance(x, str) else f"{x:.17g}" for x in report.ledgers[i].row()
             ]

@@ -351,23 +351,23 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _scan_points(b, n_scan, rng, r_max=4.0):
+def _scan_points(b, n_scan, r_max=4.0):
     # bounded graphs scan their whole open interval; unbounded ones the
-    # working window |r| <= r_max on which the growth constants are claimed
-    if b.bounded:
-        base = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, n_scan)
-        extra = rng.uniform(-1.0 + 1e-9, 1.0 - 1e-9, size=n_scan // 10)
-    else:
-        base = np.linspace(-r_max, r_max, n_scan)
-        extra = rng.uniform(-r_max, r_max, size=n_scan // 10)
-    return np.sort(np.concatenate([base, extra]))
+    # working window |r| <= r_max on which the growth constants are claimed.
+    # The n_scan // 10 extra points follow the golden-ratio (Kronecker)
+    # sequence, which keeps them off the uniform grid without an RNG.
+    lo, hi = (-1.0 + 1e-9, 1.0 - 1e-9) if b.bounded else (-r_max, r_max)
+    extra = lo + (hi - lo) * ((0.6180339887498949 * np.arange(1, n_scan // 10 + 1)) % 1.0)
+    return np.sort(np.concatenate([np.linspace(lo, hi, n_scan), extra]))
 
 
-def validate_assumptions(b, p, u0, g_probes=(), n_scan=10000, seed=0):
+def validate_assumptions(b, p, u0, g_probes=(), n_scan=10000):
     """Machine checks of the standing structural assumptions.
 
     Returns a report with one entry per assumption; failures are entries,
-    never exceptions.
+    never exceptions. The scan is fixed: a uniform grid of ``n_scan`` points
+    plus ``n_scan // 10`` golden-ratio points on the same interval, so the
+    report is deterministic and draws no random numbers.
 
     A1  graph monotone with value 0 at 0; primitive convex, nonnegative,
         zero at 0, and its difference quotients reproduce the graph.
@@ -377,9 +377,8 @@ def validate_assumptions(b, p, u0, g_probes=(), n_scan=10000, seed=0):
     A5  the average of u0 lies strictly inside the graph domain and the
         primitive is finite at every node of u0.
     """
-    rng = np.random.default_rng(seed)
     checks = []
-    r = _scan_points(b, n_scan, rng)
+    r = _scan_points(b, n_scan)
     br = beta_eval(b, r)
     bh = beta_hat_eval(b, r)
 

@@ -299,17 +299,26 @@ def _series_config(tmp_path, series_path):
     return conf
 
 
-@pytest.mark.parametrize("node", [-1, 99])
-def test_main_csv_series_node_out_of_range_exit_two(tmp_path, capsys, node):
-    # a 16-node grid: -1 must not wrap to the last node, 99 must not escape as IndexError
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        pytest.param("0.0,-1,-0.5", "node -1", id="-1"),
+        pytest.param("0.0,99,-0.5", "node 99", id="99"),
+        pytest.param("0.0,4,nan", "line 3: non-finite", id="nan"),
+        pytest.param("0.0,3,5.0", "line 3: second row for t=0.0, node 3", id="duplicate"),
+    ],
+)
+def test_main_csv_series_node_out_of_range_exit_two(tmp_path, capsys, row, reason):
+    # a 16-node grid: -1 must not wrap to the last node, 99 must not escape as
+    # IndexError, a nan must not reach the run, a second row must not overwrite the first
     series = tmp_path / "g.csv"
-    series.write_text(f"t,node,value\n0.0,3,0.5\n0.0,{node},-0.5\n")
+    series.write_text(f"t,node,value\n0.0,3,0.5\n{row}\n")
     out = tmp_path / "out"
     code = main(["simulate", "--config", str(_series_config(tmp_path, series)), "--out", str(out)])
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "input error" in err and f"node {node}" in err
+    assert "input error" in err and reason in err
 
 
 def test_main_missing_csv_series_exit_two(tmp_path, capsys):
@@ -414,17 +423,23 @@ def test_simulate_shifted_solve_failure_in_step_reports_step(tmp_path, monkeypat
 
 def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     # the CLI uses no SciPy at all: not on import, not in a 2D simulate, a 1D
-    # study or a validation; only reading elliptic.sla loads scipy.sparse
+    # study or a validation; only reading elliptic.sla loads scipy.sparse.
+    # Nor does it load numpy.random, numpy.ma or the hashlib numpy.random
+    # pulls in, unless one was loaded before chemhill.cli was imported
     src = str(Path(chemhill.__file__).resolve().parents[1])
     conf_2d = tmp_path / "sim.ini"
     conf_2d.write_text(RUNNABLE.replace("d = 1\nn = 48", "d = 2\nn = 12"))
     conf_1d = tmp_path / "study.ini"
     conf_1d.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
     probe = (
-        "import sys, chemhill.cli\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import chemhill.cli\n"
         "def check(stage):\n"
         "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "    assert not loaded, (stage, loaded[:5])\n"
+        "    extra = [m for m in ('numpy.random', 'numpy.ma', 'hashlib') if m in sys.modules and m not in before]\n"
+        "    assert not extra, (stage, extra)\n"
         "check('import')\n"
         f"assert chemhill.cli.main(['simulate', '--config', {str(conf_2d)!r}, '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
         "check('simulate')\n"

@@ -169,13 +169,29 @@ def test_field_csv_round_trip(tmp_path, d):
     assert np.array_equal(back.values, u.values)
 
 
-def test_field_csv_rejects_wrong_grid(tmp_path):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(None, id="wrong-grid"),
+        pytest.param(lambda ls: ls[:3] + [ls[3] + ",0"] + ls[4:], id="ragged-row"),
+        pytest.param(lambda ls: ls[:3] + [ls[3].split(",")[0] + ",abc"] + ls[4:], id="non-numeric"),
+        pytest.param(lambda ls: ls[:3] + [ls[3].split(",")[0] + ",nan"] + ls[4:], id="nan"),
+        pytest.param(lambda ls: ls[:-1], id="row-missing"),
+        pytest.param(lambda ls: ["x,y,value"] + ls[1:], id="header-width"),
+        pytest.param(lambda ls: ls[:3] + ["nan," + ls[3].split(",")[1]] + ls[4:], id="nan-coordinate"),
+        pytest.param(lambda ls: [], id="empty-file"),
+    ],
+)
+def test_field_csv_rejects_malformed_file(tmp_path, edit):
     g = make_grid(1, 8)
-    u = Field(g, np.zeros(8))
     path = tmp_path / "field.csv"
-    save_field_csv(u, path)
+    save_field_csv(Field(g, np.zeros(8)), path)
+    if edit is None:
+        g = make_grid(1, 16)
+    else:
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
     with pytest.raises(ValueError):
-        load_field_csv(make_grid(1, 16), path)
+        load_field_csv(g, path)
 
 
 _EPS = np.finfo(float).eps
