@@ -14,7 +14,10 @@ unknown keys are rejected so typos surface immediately):
     [study]   h_levels, lambda_levels, epsilon_levels (comma lists; optional)
 
 Each key is declared once, in the metadata of its ``ScenarioConfig``
-field; the field's annotation picks the converter.
+field; the field's annotation picks the converter unless the field names
+its own. The converters reject at parse time what no run can use: a
+non-finite number in any float key or level list, an ``h_levels`` entry
+that is not a whole step count, and a source ``k`` below 1.
 
 A relative ``path`` in [initial] or [source] names a file next to the
 config: it resolves against the directory of the ``--config`` file, not the
@@ -39,10 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import append_ledger_csv, build_ledger, identity_report
+from .diagnostics import LEDGER_COLUMNS, append_ledger_csv, build_ledger, identity_report
 from .elliptic import SolverFailure, SolverOptions
 from .grid import Field, load_field_csv, make_grid
-from .limits import save_study_csv, study, summarize
+from .limits import STUDY_COLUMNS, save_study_csv, study, study_rows, summarize
 from .nonlinearity import BetaSpec, PiSpec, validate_assumptions
 from .scheme import Scenario, SimParams, average_sources, run, save_trajectory_csv
 
@@ -59,9 +62,48 @@ class ConfigError(ValueError):
         self.violations = list(violations)
 
 
-def _ini(section, key, default):
-    # a ScenarioConfig field read from ``key`` in ``[section]``
-    return field(default=default, metadata={"ini": (section, key)})
+def _ini(section, key, default, convert=None):
+    # a ScenarioConfig field read from ``key`` in ``[section]``; ``convert``
+    # replaces the converter the annotation picks
+    return field(default=default, metadata={"ini": (section, key), "convert": convert})
+
+
+def _to_float(s):
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
+
+
+def _to_positive_int(s):
+    k = int(s)
+    if k < 1:
+        raise ValueError(f"must be at least 1, got {k}")
+    return k
+
+
+def _to_bool(s):
+    low = s.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _to_levels(s):
+    vals = tuple(_to_float(x) for x in s.split(",") if x.strip())
+    if not vals:
+        raise ValueError("empty level list")
+    return vals
+
+
+def _to_step_counts(s):
+    # h levels are step counts N, kept as the floats the other level lists hold
+    vals = _to_levels(s)
+    if any(x != int(x) for x in vals):
+        raise ValueError("step counts must be whole numbers")
+    return vals
 
 
 @dataclass
@@ -86,7 +128,7 @@ class ScenarioConfig:
     initial_path: str = _ini("initial", "path", "")
     smooth: bool = _ini("initial", "smooth", True)
     source_preset: str = _ini("source", "preset", "zero")
-    source_k: int = _ini("source", "k", 1)
+    source_k: int = _ini("source", "k", 1, _to_positive_int)
     source_amplitude: float = _ini("source", "amplitude", 1.0)
     source_ramp: float = _ini("source", "ramp", 0.0)
     source_role: str = _ini("source", "role", "g")
@@ -96,7 +138,7 @@ class ScenarioConfig:
     max_newton: int = _ini("solver", "max_newton", 50)
     directory: str = _ini("output", "directory", "out")
     snapshot_stride: int = _ini("output", "snapshot_stride", 1)
-    h_levels: tuple = _ini("study", "h_levels", None)
+    h_levels: tuple = _ini("study", "h_levels", None, _to_step_counts)
     lambda_levels: tuple = _ini("study", "lambda_levels", None)
     epsilon_levels: tuple = _ini("study", "epsilon_levels", None)
 
@@ -111,29 +153,14 @@ class ScenarioConfig:
         )
 
 
-def _to_bool(s):
-    low = s.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-def _to_levels(s):
-    vals = tuple(float(x) for x in s.split(",") if x.strip())
-    if not vals:
-        raise ValueError("empty level list")
-    return vals
-
-
 def _schema():
     # section -> key -> (attribute, converter); the converter follows the annotation
-    converters = {bool: _to_bool, tuple: _to_levels}
+    converters = {bool: _to_bool, float: _to_float, tuple: _to_levels}
     schema = {}
     for f in dc_fields(ScenarioConfig):
         section, key = f.metadata["ini"]
-        schema.setdefault(section, {})[key] = (f.name, converters.get(f.type, f.type))
+        convert = f.metadata["convert"] or converters.get(f.type, f.type)
+        schema.setdefault(section, {})[key] = (f.name, convert)
     return schema
 
 
@@ -342,6 +369,11 @@ def _render_metadata(cfg, extra):
 # commands
 
 
+def _nonfinite(columns, row):
+    # the columns of an artifact row whose number is not finite
+    return [c for c, x in zip(columns, row) if isinstance(x, float) and not math.isfinite(x)]
+
+
 def _cmd_simulate(cfg, scenario, outdir):
     opts = cfg.solver_options()
     try:
@@ -355,9 +387,13 @@ def _cmd_simulate(cfg, scenario, outdir):
     except ValueError as exc:
         print(f"simulate rejected: {exc}")
         return 1
+    ledger = build_ledger(traj, scenario.beta)
+    bad = _nonfinite(LEDGER_COLUMNS, ledger.row())
+    if bad:
+        print(f"simulate failed: ledger entries {', '.join(bad)} are not finite")
+        return 1
     outdir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(traj, outdir / "trajectory.csv", stride=cfg.snapshot_stride)
-    ledger = build_ledger(traj, scenario.beta)
     append_ledger_csv(outdir / "ledger.csv", ledger)
     meta = _render_metadata(
         cfg,
@@ -384,6 +420,11 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs):
     except ValueError as exc:
         print(f"study-{axis} rejected: {exc}")
         return 1
+    for row in study_rows(report):
+        bad = _nonfinite(STUDY_COLUMNS, row)
+        if bad:
+            print(f"study-{axis} failed: level {row[1]:.6g} entries {', '.join(bad)} are not finite")
+            return 1
     outdir.mkdir(parents=True, exist_ok=True)
     save_study_csv(report, outdir / f"study_{axis}.csv")
     text = summarize(report)

@@ -46,11 +46,21 @@ fraction-to-the-boundary rule on bounded graphs, globalizes the iteration
 for this monotone equation; a step that still fails raises StepFailure.
 The Newton operator lam + D - eps*h*Lap + (I - Lap)^(-1), D diagonal, is
 symmetric positive definite under the same condition, so each direction
-comes from matrix-free conjugate gradients, whose operator product applies
-the constant-coefficient part as one multiplier on the DCT modes. The
-preconditioner is the same operator with D replaced by a constant, which
-the DCT inverts exactly, under a diagonal scaling for the nodes where D is
-large.
+comes from matrix-free conjugate gradients. The preconditioner is the same
+operator T with lam + D replaced by its minimum c0, which the DCT inverts
+exactly. The CG loop has two paths, which differ only in how the operator
+product is formed:
+
+* unscaled, when max(D) - min(D) <= min(c0 + symbol), so the preconditioned
+  condition number is at most 2 (every direction of the benchmark
+  workloads): with E = lam + D - c0, the preconditioned residual z = T^(-1) r
+  has A z = E z + r, so the product follows the search direction's
+  recurrence and an iteration makes one transform apply (Eisenstat, SIAM
+  J. Sci. Stat. Comput. 2, 1981);
+* scaled, for a steep graph: the preconditioner is scaled on both sides by
+  a diagonal that restores the operator's diagonal where D is large, and
+  the product applies D as a vector and the rest as one multiplier on the
+  DCT modes, a second apply per iteration.
 """
 
 import functools
@@ -346,13 +356,17 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     on the DCT-II modes. Each Newton direction solves the reduced system
     (lam + D - eps*h*Lap + K) du = -r by conjugate gradients to a relative
     residual of 1e-13, within node_count iterations; a direction that
-    misses it raises StepFailure and is never used. The CG product applies
-    D as a vector and -eps*h*Lap + K as one multiplier on the DCT modes,
-    with no stencil; the Newton residual keeps the stencil, so acceptance
-    measures the true equation. The preconditioner is
-    the DCT-diagonal operator with D replaced by its minimum, scaled on
-    both sides by a diagonal that restores the operator's diagonal where D
-    is large. Newton runs on the exact graph from the warm start; bounded
+    misses it raises StepFailure and is never used, and a zero right-hand
+    side gives a zero direction. The preconditioner is the DCT-diagonal
+    operator with D replaced by its minimum. When D's spread is at most
+    the preconditioner's smallest eigenvalue, the CG product follows its
+    own recurrence from the preconditioned residual, and an iteration makes
+    one transform apply. Otherwise the preconditioner is scaled on both
+    sides by a diagonal that restores the operator's diagonal where D is
+    large, and the product applies D as a vector and -eps*h*Lap + K as one
+    multiplier on the DCT modes. Neither path applies a stencil; the
+    Newton residual keeps it, so acceptance measures the true equation.
+    Newton runs on the exact graph from the warm start; bounded
     graphs use a fraction-to-the-boundary rule so iterates stay strictly
     inside the domain. With ``polish`` set, an iteration that took a step
     ends with one more Newton correction. Acceptance is the true residual
@@ -396,32 +410,53 @@ def _hnorm(g, vec):
 
 
 def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
-    # PCG on (coef - diffusion*Lap + K) x = rhs with coef = lam + D > 0. The
-    # preconditioner is S (c0 - diffusion*Lap + K) S with c0 = min(coef) and
-    # S >= 1 diagonal: exact when coef is constant, and S gives it the
-    # operator's diagonal where coef is large. Without S (c0 = mean(coef)),
-    # a steep graph near its singularity (coef from 0.05 to 1e4 in 1D n=32)
-    # gave a preconditioned condition number of 6e4 and CG stalled; with S, 16.
-    # sym is the DCT symbol of -diffusion*Lap + K, so the operator product is
-    # coef*s plus one transform apply and needs no stencil
+    # PCG on (coef - diffusion*Lap + K) x = rhs with coef = lam + D > 0. sym is
+    # the DCT symbol of -diffusion*Lap + K, so the operator is A = E + T with
+    # E = coef - c0 >= 0 diagonal, c0 = min(coef), and T = c0 + sym inverted
+    # exactly on the DCT modes. T is the preconditioner.
+    # - Unscaled (max E <= min(c0 + sym), so cond(T^(-1) A) <= 2): z = T^(-1) r
+    #   gives A z = E z + r, so A s follows s's own recurrence and an iteration
+    #   makes one transform apply, the preconditioner's (Eisenstat, SISC 2, 1981).
+    # - Scaled (a steep graph): S T S with S >= 1 diagonal, which gives the
+    #   preconditioner the operator's diagonal where coef is large, and the
+    #   product A s = coef*s + sym(s) is a second apply. Without S, coef from
+    #   0.05 to 1e4 in 1D n=32 gave a preconditioned condition number of 6e4
+    #   and CG stalled; with S, 16. The recurrence alone stalled there too, at
+    #   a CG residual of 2.9e-12 against a stop of 3e-14.
+    x = np.zeros_like(rhs)
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return x
+    stop = _PCG_RTOL * rhs_norm
     sym = k_mult - diffusion * _eigenvalues(g.d, g.n)
     c0 = float(coef.min())
     inv_sym = 1.0 / (c0 + sym)
-    diag_mean = float(sym.mean())  # mean diagonal (trace / node count) of the constant part
-    inv_s = np.sqrt((c0 + diag_mean) / (coef + diag_mean))
+    excess = coef - c0
+    unscaled = float(excess.max()) <= c0 + float(sym.min())
+    if unscaled:
 
-    def precond(vec):
-        return inv_s * _dct_apply(inv_s * vec, inv_sym)
+        def precond(vec):
+            return _dct_apply(vec, inv_sym)
 
-    x = np.zeros_like(rhs)
+    else:
+        diag_mean = float(sym.mean())  # mean diagonal (trace / node count) of the constant part
+        inv_s = np.sqrt((c0 + diag_mean) / (coef + diag_mean))
+
+        def precond(vec):
+            return inv_s * _dct_apply(inv_s * vec, inv_sym)
+
     r = rhs.copy()
     z = precond(r)
     s = z
+    a_s = 0.0  # A s of the previous iteration; beta is 0 on the first
     rz = float(np.vdot(r, z))
-    stop = _PCG_RTOL * float(np.linalg.norm(rhs))
+    beta = 0.0
     cg_history = []
     for _ in range(g.node_count):
-        a_s = coef * s + _dct_apply(s, sym)
+        if unscaled:
+            a_s = excess * z + r + beta * a_s
+        else:
+            a_s = coef * s + _dct_apply(s, sym)
         step = rz / float(np.vdot(s, a_s))
         x += step * s
         r -= step * a_s
@@ -430,7 +465,8 @@ def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
             return x
         z = precond(r)
         rz_new = float(np.vdot(r, z))
-        s = z + (rz_new / rz) * s
+        beta = rz_new / rz
+        s = z + beta * s
         rz = rz_new
     raise StepFailure(
         f"Newton direction CG missed relative residual {_PCG_RTOL:.0e} in {g.node_count} "

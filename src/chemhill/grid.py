@@ -242,6 +242,23 @@ def save_field_csv(u, path):
             writer.writerow([f"{x:.17g}" for x in row])
 
 
+def _first_bad_line(fh, width):
+    # numpy's row numbers count body rows, and count them differently for a
+    # bad token and a width change, so a failed read is scanned again to name
+    # the file line; None if the scan finds no fault
+    for lineno, row in enumerate(csv.reader(fh), start=1):
+        if lineno == 1 or not row:
+            continue
+        if len(row) != width:
+            return f"line {lineno}: expected {width} values, found {len(row)}"
+        for token in row:
+            try:
+                float(token)
+            except ValueError:
+                return f"line {lineno}: {token!r} is not a number"
+    return None
+
+
 def load_field_csv(g, path):
     """Read a field written by :func:`save_field_csv` onto grid ``g``."""
     with open(path, newline="") as fh:
@@ -253,7 +270,8 @@ def load_field_csv(g, path):
                 warnings.simplefilter("ignore", UserWarning)  # no rows: the count check says so
                 data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"every row must hold {g.d + 1} values: {exc}") from exc
+            fh.seek(0)
+            raise ValueError(_first_bad_line(fh, g.d + 1) or str(exc)) from exc
     if len(data) != g.node_count:
         raise ValueError(f"expected {g.node_count} rows, found {len(data)}")
     if data.shape[1] != g.d + 1:

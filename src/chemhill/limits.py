@@ -28,7 +28,7 @@ from .diagnostics import LEDGER_COLUMNS, _blocks, build_ledger
 from .elliptic import SolverFailure, SolverOptions, dual_coefficients
 from .scheme import interpolants, run
 
-__all__ = ["StudyReport", "study", "estimate_order", "save_study_csv", "summarize"]
+__all__ = ["StudyReport", "STUDY_COLUMNS", "study", "estimate_order", "study_rows", "save_study_csv", "summarize"]
 
 AXES = ("h", "lambda", "epsilon")
 
@@ -170,22 +170,25 @@ def study(axis, base_scenario, levels, opts=None, jobs=1):
     return report
 
 
+STUDY_COLUMNS = [
+    "axis", "level", "diff_linf_h", "diff_l2_vstar", "order_linf_h", "order_l2_vstar"
+] + LEDGER_COLUMNS
+
+
+def study_rows(report):
+    """One row of values per finished level, in ``STUDY_COLUMNS`` order; None where a column has no value."""
+    columns = (report.diffs_linf_h, report.diffs_l2_vstar, report.orders_linf_h, report.orders_l2_vstar)
+    for i, lv in enumerate(report.levels[: len(report.ledgers)]):
+        yield [report.axis, lv] + [seq[i] if i < len(seq) else None for seq in columns] + report.ledgers[i].row()
+
+
 def save_study_csv(report, path):
     """One row per level: parameter, diffs/orders to the next level, ledger."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["axis", "level", "diff_linf_h", "diff_l2_vstar", "order_linf_h", "order_l2_vstar"]
-            + LEDGER_COLUMNS
-        )
-        columns = (report.diffs_linf_h, report.diffs_l2_vstar, report.orders_linf_h, report.orders_l2_vstar)
-        for i, lv in enumerate(report.levels[: len(report.ledgers)]):
-            row = [report.axis, f"{lv:.17g}"]
-            row += [f"{seq[i]:.17g}" if i < len(seq) and seq[i] is not None else "" for seq in columns]
-            row += [
-                x if isinstance(x, str) else f"{x:.17g}" for x in report.ledgers[i].row()
-            ]
-            writer.writerow(row)
+        writer.writerow(STUDY_COLUMNS)
+        for row in study_rows(report):
+            writer.writerow(["" if x is None else x if isinstance(x, str) else f"{x:.17g}" for x in row])
 
 
 def summarize(report):

@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chemhill.scheme
 from chemhill.cli import ConfigError, ScenarioConfig, build_scenario, dispatch, main, parse_config
@@ -247,6 +252,37 @@ def test_main_bad_config_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, edits, key",
+    [
+        pytest.param("simulate", {"c3 = 0": "c3 = nan"}, "c3", id="c3-nan"),
+        pytest.param("simulate", {"eta = 0.5": "eta = nan"}, "eta", id="eta-nan"),
+        pytest.param("simulate", {"[source]": "[solver]\nnewton_tol = nan\n\n[source]"}, "newton_tol", id="newton_tol-nan"),
+        pytest.param(
+            "validate", {"preset = zero": "preset = cosine_g\namplitude = nan"}, "amplitude", id="cosine_g-amplitude-nan"
+        ),
+        pytest.param("study-h", {"[source]": "[study]\nh_levels = nan\n\n[source]"}, "h_levels", id="h_levels-nan"),
+        pytest.param("study-h", {"[source]": "[study]\nh_levels = 8, 16.5\n\n[source]"}, "h_levels", id="h_levels-fraction"),
+        pytest.param(
+            "study-lambda", {"[source]": "[study]\nlambda_levels = 0.02, inf\n\n[source]"}, "lambda_levels", id="lambda_levels-inf"
+        ),
+        pytest.param("simulate", {"preset = zero": "preset = cosine_g\nk = 0"}, "k", id="cosine_g-k-0"),
+    ],
+)
+def test_main_rejects_unusable_value_exit_two(tmp_path, capsys, command, edits, key):
+    # each of these once ran (exit 0), failed later (exit 1) or escaped as a traceback
+    text = RUNNABLE.replace("n = 48", "n = 16")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    conf = tmp_path / "bad.ini"
+    conf.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and f"] {key} = " in err
+
+
 def test_main_missing_config_exit_two(tmp_path, capsys):
     code = main(["validate", "--config", str(tmp_path / "nope.ini")])
     assert code == 2
@@ -483,3 +519,101 @@ def test_cli_serial_study_loads_no_process_pool(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_check_identities_on_a_constant_datum(tmp_path, capsys):
+    # a constant datum near the logit singularity: a step's polish correction
+    # runs its CG on a zero residual, which must give a zero direction, not a
+    # ZeroDivisionError
+    conf = tmp_path / "constant.ini"
+    conf.write_text(
+        "[grid]\nd = 1\nn = 16\n\n[params]\neps = 0.1\nlambda = 0.02\nN = 4\nT = 0.05\nc3 = 0\n\n"
+        "[beta]\nfamily = logit\n\n[pi]\nfamily = zero\n\n[initial]\npreset = constant\nc = 0.99999999\n"
+    )
+    assert main(["check-identities", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out.count("pass") == 4
+
+
+@pytest.mark.parametrize("command", ["simulate", "study-h"])
+def test_main_nonfinite_ledger_exit_one(tmp_path, capsys, command):
+    # eta = 1e300 overflows five ledger entries to inf; no artifact carries them
+    conf = tmp_path / "huge.ini"
+    conf.write_text(RUNNABLE.replace("n = 48", "n = 16").replace("eta = 0.5", "eta = 1e300") + "\n[study]\nh_levels = 4, 8\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main([command, "--config", str(conf), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "q1, q6, q7, q8, q12 are not finite" in capsys.readouterr().out
+
+
+# for each key the fuzz varies: usable values, then boundary and unusable ones
+_FUZZ_KEYS = {
+    ("grid", "d"): (["1", "2"], ["3"]),
+    ("grid", "n"): (["4", "8", "16"], ["2"]),
+    ("params", "eps"): (["0.1", "0.05"], ["0", "-1", "nan"]),
+    ("params", "lambda"): (["0.01", "0.02"], ["0.2", "inf"]),
+    ("params", "N"): (["1", "2", "4"], ["0"]),
+    ("params", "T"): (["0.05", "0.1"], ["0", "1e300", "nan"]),
+    ("params", "eta"): (["0", "0.5"], ["-0.5", "1e300", "nan"]),
+    ("params", "c3"): (["0", "0.1"], ["0.5", "nan"]),
+    ("beta", "family"): (["linear", "power", "logit", "abs_logit"], ["cubic"]),
+    ("beta", "m"): (["3", "4"], ["2", "inf"]),
+    ("pi", "family"): (["zero", "tanh_decay"], []),
+    ("initial", "preset"): (["constant", "cosine", "bump"], ["csv"]),
+    ("initial", "c"): (["0", "0.5", "0.99999999"], ["1.5", "nan"]),
+    ("initial", "k"): (["1", "3"], ["0"]),
+    ("initial", "amplitude"): (["0.5", "0.9", "1"], ["1e300", "nan"]),
+    ("initial", "smooth"): (["true", "false"], []),
+    ("source", "preset"): (["zero", "cosine_g"], []),
+    ("source", "k"): (["1", "2"], ["0"]),
+    ("source", "amplitude"): (["0", "1"], ["1e300", "nan"]),
+    ("solver", "lin_tol"): (["1e-11", "1e-14"], ["0", "nan"]),
+    ("solver", "newton_tol"): (["1e-10", "1e-13"], ["0", "nan"]),
+    ("study", "h_levels"): (["2, 4"], ["2.5, 4", "nan"]),
+}
+_FUZZ_BREAKS = [(key, value) for key, (_, bad) in _FUZZ_KEYS.items() for value in bad]
+
+
+def _fuzz_config(values):
+    sections = {}
+    for (section, key), value in values.items():
+        if value is not None:
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n" for name, lines in sections.items())
+
+
+def _artifacts_finite(outdir):
+    for path in outdir.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for token in line.split(","):
+                try:
+                    x = float(token)
+                except ValueError:
+                    continue
+                if not np.isfinite(x):
+                    return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["simulate", "study-h", "validate", "check-identities"]),
+    values=st.fixed_dictionaries({k: st.sampled_from([None] + ok) for k, (ok, _) in _FUZZ_KEYS.items()}),
+    breaks=st.lists(st.sampled_from(_FUZZ_BREAKS), max_size=2),
+)
+def test_main_keeps_its_exit_code_contract(command, values, breaks):
+    # whatever the config, main returns 0, 1 or 2 and never raises; a run
+    # that returns 0 writes only finite numbers. A key drawn as None is left
+    # out, and up to two keys take a boundary or unusable value
+    values = {**values, **dict(breaks)}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        conf = tmp / "fuzz.ini"
+        conf.write_text(_fuzz_config(values))
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with np.errstate(all="ignore"):
+                code = main([command, "--config", str(conf), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert _artifacts_finite(out)

@@ -462,3 +462,77 @@ def test_newton_direction_applies_no_stencil(monkeypatch):
     lap_x = laplacian_apply(g, Field(g, x)).values
     a_x = coef * x - diffusion * lap_x + oracles.dct_diagonal_apply(x, k_mult)
     assert np.linalg.norm(a_x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def _steep_coef(g):
+    # coef from 0.01 to about 50: far outside the one-transform rule
+    return 0.01 + np.random.default_rng(11).uniform(0.0, 50.0, g.shape)
+
+
+def _direction_counts(monkeypatch, g, coef, rhs, diffusion=1e-3):
+    # the direction, its _dct_apply count and its CG iterations; the loop takes
+    # one residual norm per iteration after the norm of rhs
+    applies = _count_calls(monkeypatch, "_dct_apply")
+    norms = []
+    real_norm = np.linalg.norm
+
+    def norm(*args, **kwargs):
+        norms.append(1)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    k_mult = 1.0 / (1.0 - _eigenvalues(g.d, g.n))
+    x = elliptic._newton_direction(g, coef, diffusion, k_mult, rhs, 1.0, [])
+    monkeypatch.undo()
+    return x, len(applies), len(norms) - 1
+
+
+def _rule_bound(g, c0, diffusion=1e-3):
+    # min(c0 + sym): the largest coef - c0 the one-transform path accepts
+    sym = 1.0 / (1.0 - _eigenvalues(g.d, g.n)) - diffusion * _eigenvalues(g.d, g.n)
+    return c0 + float(sym.min())
+
+
+@pytest.mark.parametrize("path", ["unscaled", "scaled"])
+def test_newton_direction_zero_rhs_is_zero(monkeypatch, path):
+    # the polish correction of a step that is already exact runs CG on a zero residual
+    g = make_grid(2, 8)
+    coef = np.full(g.shape, 0.5) if path == "unscaled" else _steep_coef(g)
+    x, applies, _ = _direction_counts(monkeypatch, g, coef, np.zeros(g.shape))
+    assert applies == 0
+    assert np.array_equal(x, np.zeros(g.shape))
+
+
+@pytest.mark.parametrize("path", ["unscaled", "scaled"])
+def test_newton_direction_transforms_per_cg_iteration(monkeypatch, path):
+    # a coef inside the rule makes one apply per CG iteration, the
+    # preconditioner's (the start's and every iteration's but the last); a
+    # steep one keeps the scaled loop, with a product apply per iteration too
+    g = make_grid(2, 16)
+    rng = np.random.default_rng(7)
+    coef = 0.3 + 0.2 * rng.uniform(0.0, 1.0, g.shape) if path == "unscaled" else _steep_coef(g)
+    x, applies, iterations = _direction_counts(monkeypatch, g, coef, rng.standard_normal(g.shape))
+    assert iterations >= 3
+    assert applies == (iterations if path == "unscaled" else 2 * iterations)
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+@pytest.mark.parametrize("d,n", [(1, 4096), (2, 128)])
+def test_newton_direction_at_the_edge_of_the_rule(monkeypatch, d, n, side):
+    # coef - c0 spans the whole rule bound, just inside or just outside it;
+    # either path's direction solves the stencil system. diffusion is eps*h
+    # at eps 0.1, h 1e-4: at 1e-3 the stencil residual of 1D n=4096 has an
+    # evaluation floor eps_mach*|A|*|x| of 2.9e-12 relative, on either path
+    g = make_grid(d, n)
+    rng = np.random.default_rng(13)
+    c0, diffusion = 0.01, 1e-5
+    spread = (1.0 - 1e-9 if side == "inside" else 1.0 + 1e-9) * _rule_bound(g, c0, diffusion)
+    coef = c0 + spread * rng.uniform(0.0, 1.0, g.shape)
+    coef.flat[0], coef.flat[-1] = c0, c0 + spread
+    rhs = rng.standard_normal(g.shape)
+    x, applies, iterations = _direction_counts(monkeypatch, g, coef, rhs, diffusion)
+    assert applies == (iterations if side == "inside" else 2 * iterations)
+    lap_x = laplacian_apply(g, Field(g, x)).values
+    k_mult = 1.0 / (1.0 - _eigenvalues(d, n))
+    a_x = coef * x - diffusion * lap_x + oracles.dct_diagonal_apply(x, k_mult)
+    assert np.linalg.norm(a_x - rhs) <= 1e-12 * np.linalg.norm(rhs)

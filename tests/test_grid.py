@@ -170,19 +170,24 @@ def test_field_csv_round_trip(tmp_path, d):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        pytest.param(None, id="wrong-grid"),
-        pytest.param(lambda ls: ls[:3] + [ls[3] + ",0"] + ls[4:], id="ragged-row"),
-        pytest.param(lambda ls: ls[:3] + [ls[3].split(",")[0] + ",abc"] + ls[4:], id="non-numeric"),
-        pytest.param(lambda ls: ls[:3] + [ls[3].split(",")[0] + ",nan"] + ls[4:], id="nan"),
-        pytest.param(lambda ls: ls[:-1], id="row-missing"),
-        pytest.param(lambda ls: ["x,y,value"] + ls[1:], id="header-width"),
-        pytest.param(lambda ls: ls[:3] + ["nan," + ls[3].split(",")[1]] + ls[4:], id="nan-coordinate"),
-        pytest.param(lambda ls: [], id="empty-file"),
+        pytest.param(None, None, id="wrong-grid"),
+        # a bad row names its file line, header included: numpy's own message
+        # counted body rows, from 0 for a bad token and from 1 for a width change
+        pytest.param(lambda ls: ls[:3] + [ls[3] + ",0"] + ls[4:], "line 4: expected 2 values, found 3", id="ragged-row"),
+        pytest.param(lambda ls: ls[:3] + [ls[3].split(",")[0]] + ls[4:], "line 4: expected 2 values, found 1", id="short-row"),
+        pytest.param(
+            lambda ls: ls[:3] + [ls[3].split(",")[0] + ",abc"] + ls[4:], "line 4: 'abc' is not a number", id="non-numeric"
+        ),
+        pytest.param(lambda ls: ls[:3] + [ls[3].split(",")[0] + ",nan"] + ls[4:], None, id="nan"),
+        pytest.param(lambda ls: ls[:-1], None, id="row-missing"),
+        pytest.param(lambda ls: ["x,y,value"] + ls[1:], None, id="header-width"),
+        pytest.param(lambda ls: ls[:3] + ["nan," + ls[3].split(",")[1]] + ls[4:], None, id="nan-coordinate"),
+        pytest.param(lambda ls: [], None, id="empty-file"),
     ],
 )
-def test_field_csv_rejects_malformed_file(tmp_path, edit):
+def test_field_csv_rejects_malformed_file(tmp_path, edit, message):
     g = make_grid(1, 8)
     path = tmp_path / "field.csv"
     save_field_csv(Field(g, np.zeros(8)), path)
@@ -190,8 +195,9 @@ def test_field_csv_rejects_malformed_file(tmp_path, edit):
         g = make_grid(1, 16)
     else:
         path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         load_field_csv(g, path)
+    assert message is None or str(info.value) == message
 
 
 _EPS = np.finfo(float).eps
