@@ -418,8 +418,8 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs):
     try:
         report = study(axis, scenario, levels, opts=opts, jobs=jobs)
     except ValueError as exc:
-        print(f"study-{axis} rejected: {exc}")
-        return 1
+        print(f"config error: study-{axis} levels: {exc}", file=sys.stderr)
+        return 2
     for row in study_rows(report):
         bad = _nonfinite(STUDY_COLUMNS, row)
         if bad:
@@ -475,19 +475,21 @@ def dispatch(command, cfg, jobs=1, outdir=None):
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(outdir) if outdir is not None else Path(cfg.directory)
-    # unreadable or malformed input files are input errors, like a bad config
-    try:
-        scenario = build_scenario(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    if command == "simulate":
-        return _cmd_simulate(cfg, scenario, out)
-    if command.startswith("study-"):
-        return _cmd_study(cfg, scenario, command.split("-", 1)[1], out, jobs)
-    if command == "validate":
-        return _cmd_validate(cfg, scenario, out if outdir is not None else None)
-    return _cmd_check_identities(cfg, scenario)
+    # the commands' own checks report overflow (exit 1); NumPy's warnings would repeat it
+    with np.errstate(all="ignore"):
+        # unreadable or malformed input files are input errors, like a bad config
+        try:
+            scenario = build_scenario(cfg)
+        except (OSError, ValueError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        if command == "simulate":
+            return _cmd_simulate(cfg, scenario, out)
+        if command.startswith("study-"):
+            return _cmd_study(cfg, scenario, command.split("-", 1)[1], out, jobs)
+        if command == "validate":
+            return _cmd_validate(cfg, scenario, out if outdir is not None else None)
+        return _cmd_check_identities(cfg, scenario)
 
 
 def main(argv=None):

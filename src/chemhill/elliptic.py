@@ -13,12 +13,12 @@ The 2D form trades large grids for small ones. Per apply on a 2-vCPU VM,
 against scipy.fft's DCTs, it took 0.06 ms instead of 0.09 ms at n=64, but
 0.41 ms instead of 0.33 ms at n=128 and 2.7 ms instead of 1.4 ms at
 n=256, where a time step (power graph) took about 9% longer.
-Each public solve checks the true stencil residual against ``lin_tol``.
-The transforms keep the forward error at roundoff, but the stencil residual
-multiplies it by the operator norm (about 4*d/dx^2), so a solve whose first
-residual misses the check does one round of iterative refinement and is
-checked again. The first residual passes on every solve of the benchmark
-workloads (1D n=256, 2D n=48 and 64) and misses on some at 1D n=512.
+Each public solve makes one transform apply and checks the true stencil
+residual once, against |r| <= tol + 8 * eps_mach * |A|_2 * |x| with the
+caller's ``lin_tol`` term as tol: evaluating b - A x costs about
+eps_mach * |A|_2 * |x| whatever x is, and |A|_2, exact from the symbol
+table, grows as 4*d/dx^2 (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, sections 7.1-7.2).
 
 Every linear operator of the scheme is a member shift*I - alpha*Lap of
 one family, and ``_inverse_symbol`` is the one table of their inverse
@@ -235,31 +235,22 @@ def _inverse_symbol(d, n, shift, alpha):
 
 
 def _checked_solve(g, b, shift, alpha, tol, what):
-    # spectral solve of (shift*I - alpha*Lap) x = b, then the stencil residual
-    # check; one refinement round only when the first residual misses it
-    # (Higham 2002, ch. 12)
-    mult = _inverse_symbol(g.d, g.n, shift, alpha)
-
-    def residual(x):
-        return b - (shift * x - alpha * _laplacian(x, g.dx))
-
-    x = _dct_apply(b, mult)
-    res = residual(x)
-    rnorm = float(np.linalg.norm(res))
-    if rnorm > tol:
-        x = x + _dct_apply(res, mult)
-        rnorm = float(np.linalg.norm(residual(x)))
-        if rnorm > tol:
-            raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
+    # spectral solve of (shift*I - alpha*Lap) x = b and one stencil residual
+    # check, which grants the residual's evaluation floor eps_mach*|A|_2*|x| on
+    # top of the caller's tol (normwise backward error, Higham 2002, 7.1-7.2)
+    x = _dct_apply(b, _inverse_symbol(g.d, g.n, shift, alpha))
+    rnorm = float(np.linalg.norm(b - (shift * x - alpha * _laplacian(x, g.dx))))
+    op_norm = shift - alpha * float(_eigenvalues(g.d, g.n).min())
+    if rnorm > tol + 8.0 * np.finfo(float).eps * op_norm * float(np.linalg.norm(x)):
+        raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
     return x
 
 
 def helmholtz_solve(g, rhs, opts=None, alpha=1.0):
     """Solve (I - alpha*Lap) w = rhs; alpha=1 is the chemotaxis potential operator.
 
-    Spectral solve; the stencil residual is checked against
-    ``lin_tol * max(1, |rhs|)`` on every call, and a miss gets one
-    refinement round and the same check again.
+    Spectral solve; every call checks the stencil residual r once, against
+    |r| <= lin_tol * max(1, |rhs|) + 8 * eps_mach * |I - alpha*Lap|_2 * |w|.
     """
     opts = opts or SolverOptions()
     if not g.matches(rhs.grid):
@@ -272,9 +263,9 @@ def helmholtz_solve(g, rhs, opts=None, alpha=1.0):
 def neumann_poisson_solve(g, rhs, opts=None):
     """Solve -Lap w = rhs for the unique mean-zero w (rhs must be mean-free).
 
-    Spectral solve with the constant mode zeroed; the stencil residual is
-    checked against ``lin_tol * |rhs|``, and a miss gets one refinement
-    round and the same check again.
+    Spectral solve with the constant mode zeroed; every call checks the
+    stencil residual r once, against
+    |r| <= lin_tol * |rhs| + 8 * eps_mach * |Lap|_2 * |w|.
     """
     opts = opts or SolverOptions()
     if not g.matches(rhs.grid):

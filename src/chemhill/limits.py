@@ -120,7 +120,9 @@ def study(axis, base_scenario, levels, opts=None, jobs=1):
         At least 1. Level runs fan out over a pool of min(jobs, level
         count) processes when that is more than one.
 
-    Orders are suppressed below the noise floor 10 * newton_tol. A level
+    Orders are suppressed below the noise floor 10 * newton_tol. An unknown
+    axis, ``jobs`` below 1, a level that breaks the stepsize condition or
+    levels out of order raise ValueError before any level runs. A level
     whose run fails marks the report failed and truncates the tables after
     the last successful level.
     """
@@ -145,7 +147,9 @@ def study(axis, base_scenario, levels, opts=None, jobs=1):
             # (multiprocessing, socket, subprocess)
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # a spawned or forkserver worker would not inherit the caller's np.errstate
+            init = functools.partial(np.seterr, **np.geterr())
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, initializer=init))
             results = [pool.submit(run, sc, opts).result for sc in scenarios]
         else:
             results = [functools.partial(run, sc, opts) for sc in scenarios]

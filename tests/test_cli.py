@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,16 +416,64 @@ def test_check_identities_2d_holds_at_roundoff(beta, changes):
     assert dispatch("check-identities", parse_config(text)) == 0
 
 
-def test_simulate_1d_n512_logit_cosine_completes(tmp_path):
-    # the first spectral residual of some shifted and Poisson solves misses
-    # its check here (about 1.8e-10 against a limit near 7e-11), so this run
-    # guards the refinement round that such a miss triggers
+@pytest.mark.parametrize("n", [512, 2048], ids=["n512", "n2048"])
+def test_simulate_1d_logit_cosine_completes(tmp_path, n):
+    # the stencil residual of a spectral solve carries an evaluation floor of
+    # about eps_mach * 4/dx^2 * |x|; a check of lin_tol * max(1, |b|) alone
+    # refuses set-up's first shifted solve at n=2048 (2.3e-9 after a round of
+    # refinement)
     text = (
-        RUNNABLE.replace("n = 48", "n = 512")
+        RUNNABLE.replace("n = 48", f"n = {n}")
         .replace("family = power\nm = 3\nc1 = 0.25\nc2 = 0", "family = logit")
         .replace("k = 1\n", "k = 1\namplitude = 0.9\n")
     )
     assert dispatch("simulate", parse_config(text), outdir=tmp_path / "run") == 0
+
+
+# the benchmark's study-1d-abslogit and snapshots-2d-power scenarios, with
+# their seeded csv data replaced by the cosine and bump presets
+_BENCHMARK_LIKE = {
+    "1d-abslogit": (
+        "[grid]\nd = 1\nn = 256\n\n[params]\neps = 0.1\nlambda = 0.01\nN = 32\nT = 0.02\neta = 0.5\n\n"
+        "[beta]\nfamily = abs_logit\n\n[initial]\npreset = cosine\namplitude = 0.9\n\n"
+        "[source]\npreset = cosine_g\nk = 2\n"
+    ),
+    "2d-power": (
+        "[grid]\nd = 2\nn = 48\n\n[params]\neps = 0.1\nlambda = 0.01\nN = 48\nT = 0.03\neta = 0.5\n\n"
+        "[beta]\nfamily = power\nm = 3\n\n[initial]\npreset = bump\n\n"
+        "[source]\npreset = cosine_g\nk = 2\nramp = 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_LIKE))
+def test_check_identities_on_benchmark_scenarios(tmp_path, capsys, name):
+    # check-identities tightens lin_tol to 1e-12, below the residual's
+    # evaluation floor on these grids
+    conf = tmp_path / "bench.ini"
+    conf.write_text(_BENCHMARK_LIKE[name])
+    assert main(["check-identities", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out.count("pass") == 4
+
+
+@pytest.mark.parametrize(
+    "command, study, message",
+    [
+        pytest.param("study-h", "h_levels = 1, 2", "stepsize condition", id="h-stepsize"),
+        pytest.param("study-lambda", "lambda_levels = 0.01, 0.05", "levels must strictly decrease", id="lambda-order"),
+    ],
+)
+def test_main_study_levels_rejected_before_any_run_exit_two(tmp_path, capsys, command, study, message):
+    # both follow from the config alone, so they are config errors
+    text = RUNNABLE.replace("n = 48", "n = 16").replace("lambda = 0.02", "lambda = 0.01").replace("c3 = 0", "c3 = 0.5")
+    conf = tmp_path / "study.ini"
+    conf.write_text(text + f"\n[study]\n{study}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert f"config error: {command} levels: " in captured.err and message in captured.err
+    assert captured.out == ""
 
 
 def _fail_shifted_solves_after(monkeypatch, n_ok):
@@ -534,16 +583,42 @@ def test_check_identities_on_a_constant_datum(tmp_path, capsys):
     assert capsys.readouterr().out.count("pass") == 4
 
 
+# eta = 1e300 overflows five ledger entries to inf; no artifact carries them
+_HUGE_ETA = RUNNABLE.replace("n = 48", "n = 16").replace("eta = 0.5", "eta = 1e300") + "\n[study]\nh_levels = 4, 8\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "study-h"])
 def test_main_nonfinite_ledger_exit_one(tmp_path, capsys, command):
-    # eta = 1e300 overflows five ledger entries to inf; no artifact carries them
     conf = tmp_path / "huge.ini"
-    conf.write_text(RUNNABLE.replace("n = 48", "n = 16").replace("eta = 0.5", "eta = 1e300") + "\n[study]\nh_levels = 4, 8\n")
+    conf.write_text(_HUGE_ETA)
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main([command, "--config", str(conf), "--out", str(out)]) == 1
     assert not out.exists()
-    assert "q1, q6, q7, q8, q12 are not finite" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "q1, q6, q7, q8, q12 are not finite" in captured.out
+    assert not caught and "Warning" not in captured.err
+
+
+def test_parallel_study_workers_print_no_numpy_warning(tmp_path):
+    # spawned workers do not inherit the CLI's floating-point error state
+    # unless the pool passes it on
+    src = str(Path(chemhill.__file__).resolve().parents[1])
+    conf = tmp_path / "huge.ini"
+    conf.write_text(_HUGE_ETA)
+    argv = ["study-h", "--config", str(conf), "--out", str(tmp_path / "out"), "--jobs", "2"]
+    probe = (
+        "import multiprocessing, sys\n"
+        "import chemhill.cli\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        f"sys.exit(chemhill.cli.main({argv!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "q1, q6, q7, q8, q12 are not finite" in done.stdout
+    assert done.stderr == ""
 
 
 # for each key the fuzz varies: usable values, then boundary and unusable ones
@@ -602,18 +677,21 @@ def _artifacts_finite(outdir):
     breaks=st.lists(st.sampled_from(_FUZZ_BREAKS), max_size=2),
 )
 def test_main_keeps_its_exit_code_contract(command, values, breaks):
-    # whatever the config, main returns 0, 1 or 2 and never raises; a run
-    # that returns 0 writes only finite numbers. A key drawn as None is left
-    # out, and up to two keys take a boundary or unusable value
+    # whatever the config, main returns 0, 1 or 2, never raises and emits
+    # no warning; a run that returns 0 writes only finite numbers. A key drawn
+    # as None is left out, and up to two keys take a boundary or unusable value
     values = {**values, **dict(breaks)}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         conf = tmp / "fuzz.ini"
         conf.write_text(_fuzz_config(values))
         out = tmp / "out"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            with np.errstate(all="ignore"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = main([command, "--config", str(conf), "--out", str(out)])
         assert code in (0, 1, 2)
+        assert not caught and "Warning" not in err.getvalue()
         if code == 0:
             assert _artifacts_finite(out)

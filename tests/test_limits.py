@@ -159,11 +159,14 @@ def test_study_csv_and_summary(tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs each job at submit."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each job at submit.
+
+    Jobs run in this process, so the worker ``initializer`` has nothing to set up.
+    """
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
