@@ -374,6 +374,12 @@ def _nonfinite(columns, row):
     return [c for c, x in zip(columns, row) if isinstance(x, float) and not math.isfinite(x)]
 
 
+def _cannot_write(outdir, exc):
+    # an output directory that cannot be created or written is an input error
+    print(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_simulate(cfg, scenario, outdir):
     opts = cfg.solver_options()
     try:
@@ -392,9 +398,6 @@ def _cmd_simulate(cfg, scenario, outdir):
     if bad:
         print(f"simulate failed: ledger entries {', '.join(bad)} are not finite")
         return 1
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_trajectory_csv(traj, outdir / "trajectory.csv", stride=cfg.snapshot_stride)
-    append_ledger_csv(outdir / "ledger.csv", ledger)
     meta = _render_metadata(
         cfg,
         {
@@ -402,7 +405,13 @@ def _cmd_simulate(cfg, scenario, outdir):
             "ledger": " ".join(f"q{i + 1}={v:.6e}" for i, v in enumerate(ledger.qvalues())),
         },
     )
-    (outdir / "metadata.txt").write_text(meta)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        save_trajectory_csv(traj, outdir / "trajectory.csv", stride=cfg.snapshot_stride)
+        append_ledger_csv(outdir / "ledger.csv", ledger)
+        (outdir / "metadata.txt").write_text(meta)
+    except OSError as exc:
+        return _cannot_write(outdir, exc)
     print(f"simulate: wrote {outdir}/trajectory.csv ({traj.params.N} steps)")
     return 0
 
@@ -425,10 +434,13 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs):
         if bad:
             print(f"study-{axis} failed: level {row[1]:.6g} entries {', '.join(bad)} are not finite")
             return 1
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_study_csv(report, outdir / f"study_{axis}.csv")
     text = summarize(report)
-    (outdir / f"study_{axis}_summary.txt").write_text(text + "\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        save_study_csv(report, outdir / f"study_{axis}.csv")
+        (outdir / f"study_{axis}_summary.txt").write_text(text + "\n")
+    except OSError as exc:
+        return _cannot_write(outdir, exc)
     print(text)
     return 0 if report.failed_level is None else 1
 
@@ -441,8 +453,11 @@ def _cmd_validate(cfg, scenario, outdir):
     text = report.render()
     print(text)
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "validation.txt").write_text(text + "\n")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "validation.txt").write_text(text + "\n")
+        except OSError as exc:
+            return _cannot_write(outdir, exc)
     return 0 if report.passed else 1
 
 

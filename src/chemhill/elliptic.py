@@ -234,11 +234,13 @@ def _inverse_symbol(d, n, shift, alpha):
     return sym
 
 
-def _checked_solve(g, b, shift, alpha, tol, what):
+def _checked_solve(g, b, shift, alpha, tol, what, x=None):
     # spectral solve of (shift*I - alpha*Lap) x = b and one stencil residual
     # check, which grants the residual's evaluation floor eps_mach*|A|_2*|x| on
-    # top of the caller's tol (normwise backward error, Higham 2002, 7.1-7.2)
-    x = _dct_apply(b, _inverse_symbol(g.d, g.n, shift, alpha))
+    # top of the caller's tol (normwise backward error, Higham 2002, 7.1-7.2).
+    # An x already applied from the same table is checked, not applied again.
+    if x is None:
+        x = _dct_apply(b, _inverse_symbol(g.d, g.n, shift, alpha))
     rnorm = float(np.linalg.norm(b - (shift * x - alpha * _laplacian(x, g.dx))))
     op_norm = shift - alpha * float(_eigenvalues(g.d, g.n).min())
     if rnorm > tol + 8.0 * np.finfo(float).eps * op_norm * float(np.linalg.norm(x)):
@@ -255,9 +257,12 @@ def helmholtz_solve(g, rhs, opts=None, alpha=1.0):
     opts = opts or SolverOptions()
     if not g.matches(rhs.grid):
         raise ValueError(f"grid mismatch: {g} vs {rhs.grid}")
-    b = rhs.values
+    return Field(g, _checked_shifted(g, rhs.values, alpha, opts))
+
+
+def _checked_shifted(g, b, alpha, opts, x=None):
     tol = opts.lin_tol * max(1.0, float(np.linalg.norm(b)))
-    return Field(g, _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann"))
+    return _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann", x)
 
 
 def neumann_poisson_solve(g, rhs, opts=None):
@@ -363,6 +368,15 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     ends with one more Newton correction. Acceptance is the true residual
     alone.
     """
+    return _step_solve(g, params, b, p, rhs, warm, None, opts)[0]
+
+
+def _step_solve(g, params, b, p, rhs, warm, k_warm, opts):
+    # step_solve, returning (u, v) with v = K u: the K u that the accepted
+    # iterate's residual formed from the same table as helmholtz_solve, so
+    # bitwise its apply, checked against the stencil as that solve is.
+    # k_warm, when given, is K warm (bitwise) and serves the first residual
+    # if the bounded-graph clip left the start as it was.
     opts = opts or SolverOptions()
     eps, lam, h = params.eps, params.lam, params.h
     if not h < params.stepsize_bound:
@@ -376,20 +390,21 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     rhs_scale = max(1.0, norm_h(rhs))
     tol = opts.newton_tol * rhs_scale
 
-    def residual(uu):
-        return (
-            lam * uu
-            - eps * h * _laplacian(uu, g.dx)
-            + h * nl.beta_eval(b, uu)
-            + h * nl.pi_eval(p, eps, uu)
-            + _dct_apply(uu, k_mult)
-            - rhs_v
-        )
+    def residual(uu, ku=None):
+        # the equation's residual at uu, and the K uu in it; the graph is
+        # evaluated first, so a trial outside its domain makes no apply
+        local = lam * uu - eps * h * _laplacian(uu, g.dx) + h * nl.beta_eval(b, uu) + h * nl.pi_eval(p, eps, uu)
+        if ku is None:
+            ku = _dct_apply(uu, k_mult)
+        return local + ku - rhs_v, ku
 
     u = warm.values.copy()
     if b.bounded:
         u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
-    return Field(g, _newton(g, residual, k_mult, u, lam, eps, h, b, p, tol, opts))
+        if not np.array_equal(u, warm.values):
+            k_warm = None
+    u, ku = _newton(g, residual, k_mult, u, k_warm, lam, eps, h, b, p, tol, opts)
+    return Field(g, u), Field(g, _checked_shifted(g, u, 1.0, opts, ku))
 
 
 # relative residual at which a Newton direction counts as solved
@@ -467,16 +482,17 @@ def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
     )
 
 
-def _newton(g, residual, k_mult, u, lam, eps, h, b, p, tol, opts):
+def _newton(g, residual, k_mult, u, ku, lam, eps, h, b, p, tol, opts):
     # convergence is measured on the true equation residual, whose
-    # evaluation floor is at roundoff rather than at cond(Lap)*eps
+    # evaluation floor is at roundoff rather than at cond(Lap)*eps; returns
+    # the solution and the K u of its residual (ku, when given, is K of the start)
     history = []
 
     def direction(at, res, rnorm):
         coef = lam + h * (nl.beta_prime(b, at) + nl.pi_prime(p, eps, at))
         return _newton_direction(g, coef, eps * h, k_mult, -res, rnorm, history)
 
-    r1 = residual(u)
+    r1, ku = residual(u, ku)
     rn = _hnorm(g, r1)
     for _ in range(opts.max_newton):
         if rn <= tol:
@@ -492,13 +508,13 @@ def _newton(g, residual, k_mult, u, lam, eps, h, b, p, tol, opts):
         while theta > 2.0**-40:
             ut = u + theta * du
             try:
-                r1t = residual(ut)
+                r1t, kut = residual(ut)
             except nl.OutOfDomainError:
                 theta *= 0.5
                 continue
             rt = _hnorm(g, r1t)
             if rt <= (1.0 - 0.25 * theta) * rn or rt <= tol:
-                u, r1, rn = ut, r1t, rt
+                u, r1, rn, ku = ut, r1t, rt, kut
                 history.append(rn)
                 accepted = True
                 break
@@ -520,9 +536,10 @@ def _newton(g, residual, k_mult, u, lam, eps, h, b, p, tol, opts):
         # tol; a start that already met tol is returned as it is
         try:
             ut = u + direction(u, r1, rn)
-            rt = _hnorm(g, residual(ut))
+            r1t, kut = residual(ut)
+            rt = _hnorm(g, r1t)
         except (StepFailure, nl.OutOfDomainError):
             rt = np.inf
         if rt < rn:
-            u = ut
-    return u
+            u, ku = ut, kut
+    return u, ku

@@ -13,8 +13,12 @@ checked shifted solve,
 
     mu_{n+1} = K(mu_n - (u_{n+1} - u_n)/h - adv_n),
 
-and the chemotaxis potential by v_{n+1} = K u_{n+1}: three shifted solves
-per step. mu_{n+1} is not recovered from (v_{n+1} - v_n)/h, which would
+and the chemotaxis potential by v_{n+1} = K u_{n+1}. That is the K u the
+Newton residual of the accepted iterate already formed from the same
+table, so bitwise the shifted solve's result, and it gets the solve's
+stencil residual check: two shifted solves per step. The first Newton
+residual takes K u_n from v_n as well, unless a bounded graph's start was
+clipped. mu_{n+1} is not recovered from (v_{n+1} - v_n)/h, which would
 divide the solves' forward error by h and skip a residual check. The
 initial potential is identically zero and the initial density is the
 smoothed datum.
@@ -26,11 +30,13 @@ none of the diagnostics introduce additional time-quadrature error.
 """
 
 import csv
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elliptic import SolverFailure, SolverOptions, helmholtz_solve, source_potential, step_solve
+from .elliptic import SolverFailure, SolverOptions, _step_solve, helmholtz_solve, source_potential
 from .grid import Field, advective_divergence, inner_h
 from .nonlinearity import validate_assumptions
 
@@ -167,9 +173,11 @@ def average_sources(provider, params, grid):
 def step(prev, f_next, params, b, p, opts=None):
     """Advance one level; raises SolverFailure (with step index) on solver failure.
 
-    ``prev.v`` serves as K u_n on the right-hand side, so it must be
-    ``helmholtz_solve(grid, prev.u)`` (the StepState invariant); the shifted
-    solves are deterministic, so this equals recomputing it bit for bit.
+    ``prev.v`` serves as K u_n on the right-hand side and in the first
+    Newton residual, so it must be ``helmholtz_solve(grid, prev.u)`` (the
+    StepState invariant); the shifted solves are deterministic, so this
+    equals recomputing it bit for bit. The new state keeps the invariant:
+    its v is the K u of the accepted Newton residual, bitwise the solve.
     """
     opts = opts or SolverOptions()
     g = prev.u.grid
@@ -177,9 +185,8 @@ def step(prev, f_next, params, b, p, opts=None):
     try:
         adv = params.eta * advective_divergence(g, prev.u, prev.v)
         rhs = h * f_next + lam * prev.u + prev.v + h * helmholtz_solve(g, prev.mu - adv, opts)
-        u_next = step_solve(g, params, b, p, rhs, warm=prev.u, opts=opts)
+        u_next, v_next = _step_solve(g, params, b, p, rhs, prev.u, prev.v.values, opts)
         mu_next = helmholtz_solve(g, prev.mu - (u_next - prev.u) / h - adv, opts)
-        v_next = helmholtz_solve(g, u_next, opts)
     except SolverFailure as exc:
         exc.step_index = prev.n
         raise
@@ -343,26 +350,106 @@ def time_l2_sq(segments, h, ip=inner_h):
 # serialization
 
 
+# Least number of values (snapshots x nodes x 3) that each chunk of a forked
+# trajectory CSV must hold. Sweep on a 2-vCPU VM, two chunks, the writer timed
+# inside `chemhill simulate` processes (2D, 7 alternating runs, serial vs fork
+# medians): 10,368 values per chunk 22.7 vs 27.7 ms, 12,288 27.7 vs 26.2,
+# 17,280 35.7 vs 37.7, 30,720 65.0 vs 55.5 (fork faster 7/7), 31,104 64.1 vs
+# 48.1 (7/7), 55,296 112 vs 80. In one process, without a CLI run before it,
+# the fork already won from 13,824 values per chunk (30.4 vs 24.9 ms) and lost
+# at 6,912 (15.2 vs 16.0). So a chunk below about 2e4 values saves less than
+# its fork costs, and the threshold is the next power of two past that.
+_FORK_MIN_VALUES = 1 << 15
+
+
 def save_trajectory_csv(traj, path, stride=1):
     """Write snapshots as rows time,node,u,mu,v (flat node index).
 
     Every stride-th level and the final one are written; values are
     ``.17g`` (exact float64 round trip) and lines end in CRLF, as a
     ``csv.writer`` in its default dialect writes them.
+
+    Correctly rounded 17-digit formatting costs about 0.6 us per value by
+    every serial route, so a large trajectory is formatted on every CPU
+    the process may run on: the kept snapshots split into contiguous
+    chunks, at most one per CPU, each of at least ``_FORK_MIN_VALUES``
+    values. The first chunk is written here; each other one by a forked
+    child into a file that was unlinked before the fork, appended in
+    order once every child has exited. The bytes are those of the serial
+    write. Without ``os.fork`` or ``os.sched_getaffinity``, with one CPU,
+    or below the threshold the write stays serial. A child that fails
+    raises OSError here, after every child is reaped.
     """
-    count = traj.states[0].u.grid.node_count
+    kept = [s for s in traj.states if s.n % stride == 0 or s.n == traj.params.N]
+    count = traj.grid.node_count
     # one row line per node, so each snapshot is a single % over 4*count values
     template = "".join(f"%s,{j},%.17g,%.17g,%.17g\r\n" for j in range(count))
+    bounds = _chunk_bounds(len(kept), 3 * count)
+    chunks = [kept[a:z] for a, z in zip(bounds, bounds[1:])]
     with open(path, "w", newline="") as fh:
         fh.write("time,node,u,mu,v\r\n")
-        for s in traj.states:
-            if s.n % stride and s.n != traj.params.N:
-                continue
-            args = [f"{s.n * traj.params.h:.17g}"] * (4 * count)
-            args[1::4] = s.u.values.ravel().tolist()
-            args[2::4] = s.mu.values.ravel().tolist()
-            args[3::4] = s.v.values.ravel().tolist()
-            fh.write(template % tuple(args))
+        parts = []  # (pid, fd) of each child, in chunk order
+        try:
+            try:
+                for i, chunk in enumerate(chunks[1:], start=1):
+                    parts.append(_fork_writer(f"{path}.{os.getpid()}.part{i}", chunk, template, traj.params.h))
+                _write_snapshots(fh, chunks[0], template, traj.params.h)
+            finally:
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in parts]
+            if any(codes):
+                raise OSError(f"trajectory CSV writer children exited with status {codes}")
+            fh.flush()
+            for _, fd in parts:
+                os.lseek(fd, 0, os.SEEK_SET)
+                while block := os.read(fd, 1 << 20):
+                    fh.buffer.write(block)
+        finally:
+            for _, fd in parts:
+                os.close(fd)
+
+
+def _chunk_bounds(snapshots, values_each):
+    # bounds of contiguous chunks, at most one per usable CPU; every chunk
+    # holds at least _FORK_MIN_VALUES values, so it is one chunk below that
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return [0, snapshots]
+    least = -(-_FORK_MIN_VALUES // values_each)  # snapshots per chunk
+    parts = max(1, min(len(os.sched_getaffinity(0)), snapshots // least))
+    return [snapshots * i // parts for i in range(parts + 1)]
+
+
+def _write_snapshots(fh, states, template, h):
+    for s in states:
+        args = [f"{s.n * h:.17g}"] * (4 * s.u.values.size)
+        args[1::4] = s.u.values.ravel().tolist()
+        args[2::4] = s.mu.values.ravel().tolist()
+        args[3::4] = s.v.values.ravel().tolist()
+        fh.write(template % tuple(args))
+
+
+def _fork_writer(name, states, template, h):
+    # opens and unlinks ``name`` (so no part file outlives the process), then
+    # forks a child that writes the states into it; returns (pid, fd). The
+    # child only formats and writes, and ends in os._exit on every path, so it
+    # never returns into the caller or flushes the parent's buffers
+    fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        os.unlink(name)
+        pid = os.fork()
+    except BaseException:
+        os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            with open(fd, "w", newline="", closefd=False) as part:
+                _write_snapshots(part, states, template, h)
+            status = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(status)
+    return pid, fd
 
 
 def load_trajectory_csv(path, grid, params):

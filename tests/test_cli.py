@@ -556,18 +556,40 @@ def test_cli_serial_study_loads_no_process_pool(tmp_path):
     src = str(Path(chemhill.__file__).resolve().parents[1])
     conf = tmp_path / "study.ini"
     conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
+    # a simulate whose trajectory CSV is above the fork threshold, on two CPUs
+    # whatever the machine has: the writer forks with os alone
+    big = tmp_path / "big.ini"
+    big.write_text(RUNNABLE.replace("n = 48", "n = 4096"))
     probe = (
-        "import sys, chemhill.cli\n"
+        "import os, sys, chemhill.cli\n"
         "def check(stage):\n"
         "    loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
         "    assert not loaded, (stage, loaded)\n"
         "check('import')\n"
         f"assert chemhill.cli.main(['study-h', '--config', {str(conf)!r}, '--out', {str(tmp_path / 'study')!r}]) == 0\n"
         "check('study-h')\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"assert chemhill.cli.main(['simulate', '--config', {str(big)!r}, '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+        "assert forks == [1], forks\n"
+        "check('simulate')\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "study-h", "validate"])
+def test_main_unwritable_out_exit_two(tmp_path, capsys, command):
+    # an --out below a regular file cannot be created: an input error, not a traceback
+    conf = tmp_path / "run.ini"
+    conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert f"cannot write {out}: Not a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["file", "run.ini"]
 
 
 def test_check_identities_on_a_constant_datum(tmp_path, capsys):
@@ -675,17 +697,20 @@ def _artifacts_finite(outdir):
     command=st.sampled_from(["simulate", "study-h", "validate", "check-identities"]),
     values=st.fixed_dictionaries({k: st.sampled_from([None] + ok) for k, (ok, _) in _FUZZ_KEYS.items()}),
     breaks=st.lists(st.sampled_from(_FUZZ_BREAKS), max_size=2),
+    out_name=st.sampled_from(["out", "file/sub"]),
 )
-def test_main_keeps_its_exit_code_contract(command, values, breaks):
-    # whatever the config, main returns 0, 1 or 2, never raises and emits
-    # no warning; a run that returns 0 writes only finite numbers. A key drawn
-    # as None is left out, and up to two keys take a boundary or unusable value
+def test_main_keeps_its_exit_code_contract(command, values, breaks, out_name):
+    # whatever the config and output path, main returns 0, 1 or 2, never
+    # raises and emits no warning; a run that returns 0 writes only finite
+    # numbers. A key drawn as None is left out, up to two keys take a boundary
+    # or unusable value, and "file/sub" is an --out below a regular file
     values = {**values, **dict(breaks)}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         conf = tmp / "fuzz.ini"
         conf.write_text(_fuzz_config(values))
-        out = tmp / "out"
+        (tmp / "file").write_text("")
+        out = tmp / out_name
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             with warnings.catch_warnings(record=True) as caught:

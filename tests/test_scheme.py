@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
+import chemhill.elliptic
 import chemhill.scheme
 
-from chemhill.elliptic import SolverOptions, StepFailure, helmholtz_solve
+from chemhill.elliptic import SolverOptions, StepFailure, helmholtz_solve, step_solve
 from chemhill.grid import Field, make_grid, mean, norm_h, norm_l4, norm_v
 from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval
 from chemhill.scheme import (
@@ -277,23 +280,66 @@ def test_trajectory_csv_round_trip(tmp_path, short_traj):
         assert np.array_equal(a.v.values, b.v.values)
 
 
-def test_trajectory_csv_bytes_match_csv_writer_oracle(tmp_path):
-    # stride 3 on N = 5 writes levels 0 and 3 plus the forced final level
-    g = make_grid(2, 4)
-    params = SimParams(eps=0.1, lam=0.05, N=5, T=0.05)
+def _random_trajectory(d, n, N):
+    # values across the exponent range, with signed zeros and extremes
+    g = make_grid(d, n)
+    params = SimParams(eps=0.1, lam=0.05, N=N, T=0.05)
     rng = np.random.default_rng(11)
     states = []
-    for n in range(params.N + 1):
+    for k in range(params.N + 1):
         u, mu, v = rng.standard_normal((3, *g.shape)) * 10.0 ** rng.integers(-20, 20, (3, *g.shape))
-        u[0, 0], mu[0, 1], v[1, 0] = -0.0, 1e-300, -1e-300
-        states.append(StepState(n, Field(g, u), Field(g, mu), Field(g, v)))
-    traj = Trajectory(states, params)
-    for stride in (1, 3):
-        path = tmp_path / f"traj{stride}.csv"
-        save_trajectory_csv(traj, path, stride=stride)
-        assert path.read_bytes() == oracles.trajectory_csv_bytes(traj, stride=stride)
-    times = {line.split(",")[0] for line in (tmp_path / "traj3.csv").read_text().splitlines()[1:]}
-    assert len(times) == 3
+        u.flat[0], mu.flat[1], v.flat[2] = -0.0, 1e-300, -1e-300
+        states.append(StepState(k, Field(g, u), Field(g, mu), Field(g, v)))
+    return Trajectory(states, params)
+
+
+def _forced_fork(monkeypatch):
+    # every writer call splits: three CPUs, and a threshold any chunk meets
+    monkeypatch.setattr(chemhill.scheme, "_FORK_MIN_VALUES", 1)
+    monkeypatch.setattr(chemhill.scheme.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def test_trajectory_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch):
+    # both writer paths, 1D and 2D. Stride 3 on N = 5 writes levels 0 and 3
+    # plus the forced final level; forked, that is three one-snapshot chunks,
+    # so the final level falls in the last child's chunk
+    forks = _recording(monkeypatch, chemhill.scheme.os, "fork")
+    for path_kind in ("serial", "forked"):
+        if path_kind == "forked":
+            _forced_fork(monkeypatch)
+        for d, n in ((1, 16), (2, 4)):
+            traj = _random_trajectory(d, n, 5)
+            for stride in (1, 3):
+                path = tmp_path / f"traj{path_kind}{d}{stride}.csv"
+                save_trajectory_csv(traj, path, stride=stride)
+                assert path.read_bytes() == oracles.trajectory_csv_bytes(traj, stride=stride)
+            times = {line.split(",")[0] for line in path.read_text().splitlines()[1:]}
+            assert len(times) == 3
+        if path_kind == "serial":
+            assert forks == []
+    assert len(forks) == 8  # two children per write, four writes
+    written = {f"traj{k}{d}{s}.csv" for k in ("serial", "forked") for d in (1, 2) for s in (1, 3)}
+    assert set(os.listdir(tmp_path)) == written
+
+
+def test_forked_trajectory_writer_failure_leaves_no_child_or_part(tmp_path, monkeypatch):
+    # a child whose formatting raises: OSError here, every child reaped and
+    # no part file left, only the partial trajectory.csv
+    _forced_fork(monkeypatch)
+    parent = os.getpid()
+    real = chemhill.scheme._write_snapshots
+
+    def failing_in_children(fh, states, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        return real(fh, states, *args)
+
+    monkeypatch.setattr(chemhill.scheme, "_write_snapshots", failing_in_children)
+    with pytest.raises(OSError, match="exited with status"):
+        save_trajectory_csv(_random_trajectory(2, 4, 5), tmp_path / "trajectory.csv")
+    assert os.listdir(tmp_path) == ["trajectory.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_two_dimensional_run_conserves_mass():
@@ -323,19 +369,52 @@ def _step_inputs(d, n, family):
     return prev, f_next, params, BetaSpec(family, c2=0.0), PiSpec("zero")
 
 
-def test_step_makes_three_shifted_solves(monkeypatch):
+def _recording(monkeypatch, module, name):
+    # replaces module.<name> by a wrapper; returns the list of its call arguments
     calls = []
-    real = chemhill.scheme.helmholtz_solve
+    real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def recorded(*args, **kwargs):
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(chemhill.scheme, "helmholtz_solve", counted)
-    prev, f_next, params, b, p = _step_inputs(2, 8, "logit")
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("start", ["logit", "logit-clipped", "power"])
+def test_step_reuses_the_newton_transforms(monkeypatch, start):
+    # two shifted solves, K(mu_n - adv_n) and mu_{n+1}. The Newton solve's
+    # first residual takes K u_n from the stored v_n unless the bounded-graph
+    # clip moved the start, and v_{n+1} is the K u of its accepted residual:
+    # two transform applies fewer than three solves plus the Newton solve alone
+    prev, f_next, params, b, p = _step_inputs(2, 8, start.split("-")[0])
+    if start == "logit-clipped":
+        u = prev.u.values.copy()
+        u[0, 0] = 1.0 - 1e-14
+        u = Field(prev.u.grid, u)
+        prev = StepState(0, u, prev.mu, helmholtz_solve(u.grid, u))
+    solves = _recording(monkeypatch, chemhill.scheme, "helmholtz_solve")
+    newton = _recording(monkeypatch, chemhill.scheme, "_step_solve")
+    applies = _recording(monkeypatch, chemhill.elliptic, "_dct_apply")
     step(prev, f_next, params, b, p)
-    # K(mu_n - adv_n), mu_{n+1} and v_{n+1}; K u_n is the stored v_n
-    assert len(calls) == 3
+    in_step = len(applies)
+    g, params, b, p, rhs, warm, _, opts = newton[0]
+    applies.clear()
+    step_solve(g, params, b, p, rhs, warm, opts)
+    assert len(solves) == 2
+    assert in_step == 3 + len(applies) - (1 if start == "logit-clipped" else 2)
+
+
+@pytest.mark.parametrize("opts", [None, TIGHT], ids=["default", "polish"])
+@pytest.mark.parametrize("family", ["logit", "power"])
+@pytest.mark.parametrize("d,n", [(1, 48), (2, 12)])
+def test_step_potential_is_bitwise_the_shifted_solve(d, n, family, opts):
+    # the StepState invariant, over two steps: the second starts from a reused v
+    prev, f_next, params, b, p = _step_inputs(d, n, family)
+    for _ in range(2):
+        prev = step(prev, f_next, params, b, p, opts)
+        assert np.array_equal(prev.v.values, helmholtz_solve(prev.u.grid, prev.u).values)
 
 
 @pytest.mark.parametrize("family", ["logit", "power"])
