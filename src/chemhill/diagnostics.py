@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nonlinearity as nl
 from .elliptic import dual_coefficients, helmholtz_solve
-from .grid import Field, _face_diff_sq, _laplacian, inner_h, laplacian_apply, mean, norm_h, norm_v
+from .grid import Field, _face_diff_sq, _laplacian, inner_h, laplacian_apply, mean, norm_h
 
 __all__ = [
     "DiagnosticsLedger",
@@ -89,6 +89,30 @@ def _blocks(count, node_count):
     return [(start, min(start + size, count)) for start in range(0, count, size)]
 
 
+def _state_blocks(traj):
+    """Yield (start, stop, u, mu) per block of steps: u and mu of states start..stop, stacked."""
+    for start, stop in _blocks(traj.params.N, traj.grid.node_count):
+        states = traj.states[start : stop + 1]
+        yield start, stop, np.stack([s.u.values for s in states]), np.stack([s.mu.values for s in states])
+
+
+def _inner_h(g, a, b):
+    # H inner products of two stacks of fields, one per leading index
+    return g.cell_volume * np.sum(a * b, axis=tuple(range(-g.d, 0)))
+
+
+def _sq_h(g, x):
+    return _inner_h(g, x, x)
+
+
+def _sq_semi(g, x):
+    return g.cell_volume * _face_diff_sq(x, g.dx, g.d)
+
+
+def _sq_v(g, x):
+    return _sq_semi(g, x) + _sq_h(g, x)
+
+
 def build_ledger(traj, b):
     """Accumulate the twelve ledger quantities from a finished trajectory.
 
@@ -102,41 +126,32 @@ def build_ledger(traj, b):
     led = DiagnosticsLedger(eps, lam, h, b.family, params.eta)
     spatial = tuple(range(-g.d, 0))
 
-    def sq_h(x):
-        # squared H norm of each stacked field
-        return g.cell_volume * np.sum(x * x, axis=spatial)
-
-    def sq_semi(x):
-        return g.cell_volume * _face_diff_sq(x, g.dx, g.d)
-
     def sq_dual(x, shift):
         # summed squared dual norms of the stacked fields
         w = dual_coefficients(g, x, shift)
         return float(np.sum(w * w))
 
-    for start, stop in _blocks(params.N, g.node_count):
-        u = np.stack([s.u.values for s in traj.states[start : stop + 1]])
-        mu = np.stack([s.mu.values for s in traj.states[start : stop + 1]])
+    for _, _, u, mu in _state_blocks(traj):
         du = (u[1:] - u[:-1]) / h
         dmu = (mu[1:] - mu[:-1]) / h
         u1, m1 = u[1:], mu[1:]
-        du_h = sq_h(du)
-        u1_v = sq_semi(u1) + sq_h(u1)
-        m1_semi = sq_semi(m1)
+        du_h = _sq_h(g, du)
+        u1_v = _sq_v(g, u1)
+        m1_semi = _sq_semi(g, m1)
 
         led.q1 += h * sq_dual(du + h * dmu, 0.0)
         led.q2 += h * float(np.sum(du_h))
-        led.q4 += h * float(np.sum(sq_semi(du) + du_h))
-        led.q7 += h * float(np.sum(sq_h(dmu)))
+        led.q4 += h * float(np.sum(_sq_semi(g, du) + du_h))
+        led.q7 += h * float(np.sum(_sq_h(g, dmu)))
         led.q9 += h * sq_dual(du, 1.0)
 
         led.q3 = max(led.q3, float(np.max(u1_v)))
         led.q5 = max(led.q5, float(np.max(g.cell_volume * np.sum(u1**4, axis=spatial))))
-        led.q6 = max(led.q6, float(np.max(sq_h(m1))))
+        led.q6 = max(led.q6, float(np.max(_sq_h(g, m1))))
         led.q8 += h * float(np.sum(m1_semi))
-        led.q10 += h * float(np.sum(sq_h(_laplacian(u1, g.dx, g.d)) + u1_v))
-        led.q11 += h * float(np.sum(sq_h(nl.beta_eval(b, u1))))
-        led.q12 += h * float(np.sum(m1_semi + sq_h(m1)))
+        led.q10 += h * float(np.sum(_sq_h(g, _laplacian(u1, g.dx, g.d)) + u1_v))
+        led.q11 += h * float(np.sum(_sq_h(g, nl.beta_eval(b, u1))))
+        led.q12 += h * float(np.sum(m1_semi + _sq_h(g, m1)))
 
     led.q2 *= lam
     led.q3 *= eps
@@ -174,62 +189,50 @@ def identity_report(traj, b, p, tol=1e-10):
     * the per-step energy balance obtained by pairing the potential
       equation with the density increment;
     * the conservation of the mean of u + h*mu.
-    """
-    from .scheme import interpolants, time_l2_sq
 
+    The steps are taken in the ledger's blocks of stacked states. A
+    trajectory without sources (one reloaded from CSV) is unforced.
+    """
     params = traj.params
     g = traj.grid
     h, eps, lam = params.h, params.eps, params.lam
-    view = interpolants(traj)
-    rows = []
-
-    # squared-distance identity: segments of u_bar - u_hat are (u1-u0, 0)
-    diff_segments = [(u1 - u0, Field(g, np.zeros(g.shape))) for (u0, u1) in view.hat_segments()]
-    lhs = time_l2_sq(diff_segments, h)
-    rhs = (h**2 / 3.0) * time_l2_sq([(d, d) for d in view.dot_fields()], h)
-    defect = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-    rows.append(("ubar_uhat_l2_identity", defect, defect <= tol))
-
-    # pointwise reconstruction identity on each interval
-    worst = 0.0
-    for n in range(params.N):
-        u0, u1 = traj.states[n].u, traj.states[n + 1].u
-        lhs_f = h * ((u1 - u0) / h)
-        rhs_f = u1 - u0
-        scale = max(1.0, float(np.max(np.abs(rhs_f.values))))
-        worst = max(worst, float(np.max(np.abs(lhs_f.values - rhs_f.values))) / scale)
-    rows.append(("reconstruction_increment_identity", worst, worst <= tol))
-
-    # per-step energy balance
-    worst = 0.0
-    for n in range(params.N):
-        u0, u1 = traj.states[n].u, traj.states[n + 1].u
-        mu1 = traj.states[n + 1].mu
-        du = u1 - u0
-        f1 = traj.sources[n] if traj.sources else Field(g, np.zeros(g.shape))
-        lhs_e = inner_h(du, mu1)
-        terms = [
-            lam * h * norm_h(du / h) ** 2,
-            0.5 * eps * (norm_v(u1) ** 2 - norm_v(u0) ** 2 + norm_v(du) ** 2),
-            inner_h(Field(g, nl.beta_eval(b, u1.values)), du),
-            inner_h(
-                Field(g, nl.pi_eval(p, eps, u1.values)) - f1 - eps * u1,
-                du,
-            ),
-        ]
-        rhs_e = sum(terms)
-        scale = max(abs(lhs_e), sum(abs(t) for t in terms), 1e-300)
-        worst = max(worst, abs(lhs_e - rhs_e) / scale)
-    rows.append(("per_step_energy_balance", worst, worst <= tol))
-
-    # conservation of mean(u + h*mu)
+    spatial = tuple(range(-g.d, 0))
     m_init = mean(traj.states[0].u)
-    worst = 0.0
-    for s in traj.states:
-        m = mean(s.u + h * s.mu)
-        worst = max(worst, abs(m - m_init) / max(1.0, abs(m_init)))
-    rows.append(("mean_mass_invariant", worst, worst <= tol))
-    return rows
+    dist_sq = dot_sq = increment = energy = mass = 0.0
+    for start, stop, u, mu in _state_blocks(traj):
+        u0, u1, mu1 = u[:-1], u[1:], mu[1:]
+        du = u1 - u0
+
+        # on each interval u_bar - u_hat runs linearly from u1 - u0 to 0
+        dist_sq += float(np.sum(_sq_h(g, du)))
+        dot_sq += float(np.sum(_sq_h(g, du / h)))
+
+        gap = np.max(np.abs(h * (du / h) - du), axis=spatial)
+        increment = max(increment, float(np.max(gap / np.maximum(1.0, np.max(np.abs(du), axis=spatial)))))
+
+        f1 = np.stack([f.values for f in traj.sources[start:stop]]) if traj.sources else 0.0
+        lhs = _inner_h(g, du, mu1)
+        terms = [
+            lam * h * _sq_h(g, du / h),
+            0.5 * eps * (_sq_v(g, u1) - _sq_v(g, u0) + _sq_v(g, du)),
+            _inner_h(g, nl.beta_eval(b, u1), du),
+            _inner_h(g, nl.pi_eval(p, eps, u1) - f1 - eps * u1, du),
+        ]
+        scale = np.maximum(np.maximum(np.abs(lhs), sum(np.abs(t) for t in terms)), 1e-300)
+        energy = max(energy, float(np.max(np.abs(lhs - sum(terms)) / scale)))
+
+        m = g.cell_volume * np.sum(u + h * mu, axis=spatial)
+        mass = max(mass, float(np.max(np.abs(m - m_init))) / max(1.0, abs(m_init)))
+
+    lhs = h * dist_sq / 3.0
+    rhs = (h**2 / 3.0) * h * dot_sq
+    dist = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
+    return [
+        ("ubar_uhat_l2_identity", dist, dist <= tol),
+        ("reconstruction_increment_identity", increment, increment <= tol),
+        ("per_step_energy_balance", energy, energy <= tol),
+        ("mean_mass_invariant", mass, mass <= tol),
+    ]
 
 
 # ---------------------------------------------------------------------------

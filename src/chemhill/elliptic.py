@@ -257,12 +257,8 @@ def helmholtz_solve(g, rhs, opts=None, alpha=1.0):
     opts = opts or SolverOptions()
     if not g.matches(rhs.grid):
         raise ValueError(f"grid mismatch: {g} vs {rhs.grid}")
-    return Field(g, _checked_shifted(g, rhs.values, alpha, opts))
-
-
-def _checked_shifted(g, b, alpha, opts, x=None):
-    tol = opts.lin_tol * max(1.0, float(np.linalg.norm(b)))
-    return _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann", x)
+    tol = opts.lin_tol * max(1.0, float(np.linalg.norm(rhs.values)))
+    return Field(g, _checked_solve(g, rhs.values, 1.0, alpha, tol, "shifted Neumann"))
 
 
 def neumann_poisson_solve(g, rhs, opts=None):
@@ -315,7 +311,7 @@ def v0star_norm(g, r):
     return float(np.linalg.norm(dual_coefficients(g, r.values[None], 0.0)))
 
 
-def step_solve(g, params, b, p, rhs, warm, opts=None):
+def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
     """Solve the per-step monotone equation for the new density.
 
     Parameters
@@ -330,12 +326,20 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     warm : Field
         Warm start, normally the previous time level.
     opts : SolverOptions, optional
+    k_warm : ndarray, optional
+        K warm with K = (I - Lap)^(-1), bitwise ``helmholtz_solve(g, warm)``
+        (a step passes the stored potential). It serves the first Newton
+        residual in place of a transform apply, unless the bounded-graph
+        clip moved the start.
 
     Returns
     -------
-    Field
-        The unique solution u with final residual below
-        ``newton_tol * max(1, |rhs|_H)``.
+    (Field, Field)
+        The unique solution u, with final residual below
+        ``newton_tol * max(1, |rhs|_H)``, and v = K u. v is the K u that
+        the accepted iterate's residual formed from the same symbol table
+        as ``helmholtz_solve``, so bitwise that solve's result, and it gets
+        the solve's stencil residual check.
 
     Raises
     ------
@@ -345,11 +349,13 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
         On stagnation at the damping floor, on the iteration cap, or on a
         Newton direction whose CG misses its tolerance; carries the
         residual history.
+    SolverFailure
+        If v misses the shifted solve's residual check.
 
     Notes
     -----
-    The dense operator K = (I - Lap)^(-1) is never formed: it is applied
-    on the DCT-II modes. Each Newton direction solves the reduced system
+    The dense operator K is never formed: it is applied on the DCT-II
+    modes. Each Newton direction solves the reduced system
     (lam + D - eps*h*Lap + K) du = -r by conjugate gradients to a relative
     residual of 1e-13, within node_count iterations; a direction that
     misses it raises StepFailure and is never used, and a zero right-hand
@@ -361,22 +367,14 @@ def step_solve(g, params, b, p, rhs, warm, opts=None):
     sides by a diagonal that restores the operator's diagonal where D is
     large, and the product applies D as a vector and -eps*h*Lap + K as one
     multiplier on the DCT modes. Neither path applies a stencil; the
-    Newton residual keeps it, so acceptance measures the true equation.
+    Newton residual keeps it, so acceptance measures the true equation,
+    whose evaluation floor is at roundoff rather than at cond(Lap)*eps.
     Newton runs on the exact graph from the warm start; bounded
     graphs use a fraction-to-the-boundary rule so iterates stay strictly
     inside the domain. With ``polish`` set, an iteration that took a step
     ends with one more Newton correction. Acceptance is the true residual
     alone.
     """
-    return _step_solve(g, params, b, p, rhs, warm, None, opts)[0]
-
-
-def _step_solve(g, params, b, p, rhs, warm, k_warm, opts):
-    # step_solve, returning (u, v) with v = K u: the K u that the accepted
-    # iterate's residual formed from the same table as helmholtz_solve, so
-    # bitwise its apply, checked against the stencil as that solve is.
-    # k_warm, when given, is K warm (bitwise) and serves the first residual
-    # if the bounded-graph clip left the start as it was.
     opts = opts or SolverOptions()
     eps, lam, h = params.eps, params.lam, params.h
     if not h < params.stepsize_bound:
@@ -387,8 +385,8 @@ def _step_solve(g, params, b, p, rhs, warm, k_warm, opts):
         raise ValueError("grid mismatch in step_solve")
     k_mult = _inverse_symbol(g.d, g.n, 1.0, 1.0)
     rhs_v = rhs.values
-    rhs_scale = max(1.0, norm_h(rhs))
-    tol = opts.newton_tol * rhs_scale
+    tol = opts.newton_tol * max(1.0, norm_h(rhs))
+    history = []
 
     def residual(uu, ku=None):
         # the equation's residual at uu, and the K uu in it; the graph is
@@ -398,13 +396,67 @@ def _step_solve(g, params, b, p, rhs, warm, k_warm, opts):
             ku = _dct_apply(uu, k_mult)
         return local + ku - rhs_v, ku
 
+    def direction(at, res, rnorm):
+        coef = lam + h * (nl.beta_prime(b, at) + nl.pi_prime(p, eps, at))
+        return _newton_direction(g, coef, eps * h, k_mult, -res, rnorm, history)
+
     u = warm.values.copy()
     if b.bounded:
         u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
         if not np.array_equal(u, warm.values):
             k_warm = None
-    u, ku = _newton(g, residual, k_mult, u, k_warm, lam, eps, h, b, p, tol, opts)
-    return Field(g, u), Field(g, _checked_shifted(g, u, 1.0, opts, ku))
+    r1, ku = residual(u, k_warm)
+    rn = _hnorm(g, r1)
+    for _ in range(opts.max_newton):
+        if rn <= tol:
+            break
+        du = direction(u, r1, rn)
+
+        theta = 1.0
+        if b.bounded:
+            room = np.where(du > 0, (1.0 - u) / np.where(du > 0, du, 1.0), np.inf)
+            room = np.minimum(room, np.where(du < 0, (u + 1.0) / np.where(du < 0, -du, 1.0), np.inf))
+            theta = min(1.0, 0.95 * float(np.min(room)))
+        accepted = False
+        while theta > 2.0**-40:
+            ut = u + theta * du
+            try:
+                r1t, kut = residual(ut)
+            except nl.OutOfDomainError:
+                theta *= 0.5
+                continue
+            rt = _hnorm(g, r1t)
+            if rt <= (1.0 - 0.25 * theta) * rn or rt <= tol:
+                u, r1, rn, ku = ut, r1t, rt, kut
+                history.append(rn)
+                accepted = True
+                break
+            theta *= 0.5
+        if not accepted:
+            raise StepFailure(
+                f"Newton stagnated at residual {rn:.3e} (damping floor reached)",
+                residual=rn,
+                history=history,
+            )
+    if rn > tol:
+        raise StepFailure(
+            f"Newton used {opts.max_newton} iterations, residual {rn:.3e} above {tol:.3e}",
+            residual=rn,
+            history=history,
+        )
+    if opts.polish and history:
+        # one more full Newton step (quadratic convergence) from just inside
+        # tol; a start that already met tol is returned as it is
+        try:
+            ut = u + direction(u, r1, rn)
+            r1t, kut = residual(ut)
+            rt = _hnorm(g, r1t)
+        except (StepFailure, nl.OutOfDomainError):
+            rt = np.inf
+        if rt < rn:
+            u, ku = ut, kut
+    v_tol = opts.lin_tol * max(1.0, float(np.linalg.norm(u)))
+    return Field(g, u), Field(g, _checked_solve(g, u, 1.0, 1.0, v_tol, "shifted Neumann", ku))
 
 
 # relative residual at which a Newton direction counts as solved
@@ -480,66 +532,3 @@ def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
         residual=rn,
         history=history,
     )
-
-
-def _newton(g, residual, k_mult, u, ku, lam, eps, h, b, p, tol, opts):
-    # convergence is measured on the true equation residual, whose
-    # evaluation floor is at roundoff rather than at cond(Lap)*eps; returns
-    # the solution and the K u of its residual (ku, when given, is K of the start)
-    history = []
-
-    def direction(at, res, rnorm):
-        coef = lam + h * (nl.beta_prime(b, at) + nl.pi_prime(p, eps, at))
-        return _newton_direction(g, coef, eps * h, k_mult, -res, rnorm, history)
-
-    r1, ku = residual(u, ku)
-    rn = _hnorm(g, r1)
-    for _ in range(opts.max_newton):
-        if rn <= tol:
-            break
-        du = direction(u, r1, rn)
-
-        theta = 1.0
-        if b.bounded:
-            room = np.where(du > 0, (1.0 - u) / np.where(du > 0, du, 1.0), np.inf)
-            room = np.minimum(room, np.where(du < 0, (u + 1.0) / np.where(du < 0, -du, 1.0), np.inf))
-            theta = min(1.0, 0.95 * float(np.min(room)))
-        accepted = False
-        while theta > 2.0**-40:
-            ut = u + theta * du
-            try:
-                r1t, kut = residual(ut)
-            except nl.OutOfDomainError:
-                theta *= 0.5
-                continue
-            rt = _hnorm(g, r1t)
-            if rt <= (1.0 - 0.25 * theta) * rn or rt <= tol:
-                u, r1, rn, ku = ut, r1t, rt, kut
-                history.append(rn)
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
-            raise StepFailure(
-                f"Newton stagnated at residual {rn:.3e} (damping floor reached)",
-                residual=rn,
-                history=history,
-            )
-    if rn > tol:
-        raise StepFailure(
-            f"Newton used {opts.max_newton} iterations, residual {rn:.3e} above {tol:.3e}",
-            residual=rn,
-            history=history,
-        )
-    if opts.polish and history:
-        # one more full Newton step (quadratic convergence) from just inside
-        # tol; a start that already met tol is returned as it is
-        try:
-            ut = u + direction(u, r1, rn)
-            r1t, kut = residual(ut)
-            rt = _hnorm(g, r1t)
-        except (StepFailure, nl.OutOfDomainError):
-            rt = np.inf
-        if rt < rn:
-            u, ku = ut, kut
-    return u, ku

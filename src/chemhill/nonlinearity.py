@@ -42,7 +42,6 @@ __all__ = [
     "beta_hat_eval",
     "resolvent",
     "yosida",
-    "yosida_prime",
     "pi_eval",
     "pi_prime",
     "validate_assumptions",
@@ -291,14 +290,6 @@ def yosida(b, tau, r):
     arr, scalar = _as_array(r)
     j = resolvent(b, tau, arr)
     return _ret((arr - j) / tau, scalar)
-
-
-def yosida_prime(b, tau, r):
-    """Derivative of the regularized graph: beta'(J r) / (1 + tau * beta'(J r))."""
-    arr, scalar = _as_array(r)
-    j = resolvent(b, tau, arr)
-    bp = beta_prime(b, np.clip(j, _LO, _HI) if b.bounded else j)
-    return _ret(bp / (1.0 + tau * bp), scalar)
 
 
 def pi_eval(p, eps, r):

@@ -15,18 +15,18 @@ checked shifted solve,
 
 and the chemotaxis potential by v_{n+1} = K u_{n+1}. That is the K u the
 Newton residual of the accepted iterate already formed from the same
-table, so bitwise the shifted solve's result, and it gets the solve's
-stencil residual check: two shifted solves per step. The first Newton
-residual takes K u_n from v_n as well, unless a bounded graph's start was
-clipped. mu_{n+1} is not recovered from (v_{n+1} - v_n)/h, which would
-divide the solves' forward error by h and skip a residual check. The
-initial potential is identically zero and the initial density is the
-smoothed datum.
+table, which ``elliptic.step_solve`` returns with the density, so bitwise
+the shifted solve's result, and it gets the solve's stencil residual
+check: two shifted solves per step. The first Newton residual takes
+K u_n from v_n as well, unless a bounded graph's start was clipped.
+mu_{n+1} is not recovered from (v_{n+1} - v_n)/h, which would divide the
+solves' forward error by h and skip a residual check. The initial
+potential is identically zero and the initial density is the smoothed
+datum.
 
 Besides the marching loop this module holds the piecewise-in-time
 reconstructions of a finished run (linear and one-sided constant
-interpolants) together with exact evaluation of their time-integral norms;
-none of the diagnostics introduce additional time-quadrature error.
+interpolants) and the trajectory CSV format.
 """
 
 import csv
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elliptic import SolverFailure, SolverOptions, _step_solve, helmholtz_solve, source_potential
-from .grid import Field, advective_divergence, inner_h
+from .elliptic import SolverFailure, SolverOptions, helmholtz_solve, source_potential, step_solve
+from .grid import Field, advective_divergence
 from .nonlinearity import validate_assumptions
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "run",
     "interpolants",
     "InterpolantView",
-    "time_l2_sq",
     "save_trajectory_csv",
     "load_trajectory_csv",
 ]
@@ -185,7 +184,7 @@ def step(prev, f_next, params, b, p, opts=None):
     try:
         adv = params.eta * advective_divergence(g, prev.u, prev.v)
         rhs = h * f_next + lam * prev.u + prev.v + h * helmholtz_solve(g, prev.mu - adv, opts)
-        u_next, v_next = _step_solve(g, params, b, p, rhs, prev.u, prev.v.values, opts)
+        u_next, v_next = step_solve(g, params, b, p, rhs, prev.u, opts, k_warm=prev.v.values)
         mu_next = helmholtz_solve(g, prev.mu - (u_next - prev.u) / h - adv, opts)
     except SolverFailure as exc:
         exc.step_index = prev.n
@@ -317,33 +316,9 @@ class InterpolantView:
     def u_under(self, t):
         return self._u[self._left_index(t)]
 
-    # exact per-interval segment endpoints (the reconstruction is linear
-    # in t between breakpoints, so these carry the full information)
-    def hat_segments(self, which="u"):
-        seq = self._u if which == "u" else self._mu
-        return [(seq[n], seq[n + 1]) for n in range(self.params.N)]
-
-    def dot_fields(self, which="u"):
-        """Time derivative of the linear reconstruction, constant per interval."""
-        seq = self._u if which == "u" else self._mu
-        return [(seq[n + 1] - seq[n]) / self.h for n in range(self.params.N)]
-
 
 def interpolants(traj):
     return InterpolantView(traj)
-
-
-def time_l2_sq(segments, h, ip=inner_h):
-    """Exact squared L2(0,T) norm of a path that is linear on each interval.
-
-    ``segments`` is a list of (a, b) endpoint fields; ``ip`` any bilinear
-    inner product. For a segment x(s) = (1-s) a + s b the exact integral is
-    h/3 * (ip(a,a) + ip(a,b) + ip(b,b)).
-    """
-    total = 0.0
-    for a, b in segments:
-        total += ip(a, a) + ip(a, b) + ip(b, b)
-    return h * total / 3.0
 
 
 # ---------------------------------------------------------------------------

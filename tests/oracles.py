@@ -218,7 +218,7 @@ def four_solve_step(prev, f_next, params, b, p, opts):
     adv = params.eta * advective_divergence(g, prev.u, prev.v).values
     k_mu, k_adv = refined_shifted_solve(mu), refined_shifted_solve(adv)
     rhs = h * f_next.values + params.lam * u + v + h * k_mu - h * k_adv
-    u_next = step_solve(g, params, b, p, Field(g, rhs), warm=prev.u, opts=opts).values
+    u_next = step_solve(g, params, b, p, Field(g, rhs), warm=prev.u, opts=opts)[0].values
     mu_next = refined_shifted_solve(mu - (u_next - u) / h - adv)
     return u_next, mu_next, refined_shifted_solve(u_next)
 

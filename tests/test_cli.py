@@ -692,7 +692,7 @@ def _artifacts_finite(outdir):
     return True
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     command=st.sampled_from(["simulate", "study-h", "validate", "check-identities"]),
     values=st.fixed_dictionaries({k: st.sampled_from([None] + ok) for k, (ok, _) in _FUZZ_KEYS.items()}),

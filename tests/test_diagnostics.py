@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chemhill.cli import CosineSource
 from chemhill.diagnostics import (
     DiagnosticsLedger,
     LEDGER_COLUMNS,
@@ -29,6 +32,13 @@ import oracles
 # the setting check-identities uses: the identities are exact, so each step's
 # Newton iteration is polished to its residual floor, not stopped inside tol
 TIGHT = SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True)
+
+IDENTITY_ROWS = [
+    "ubar_uhat_l2_identity",
+    "reconstruction_increment_identity",
+    "per_step_energy_balance",
+    "mean_mass_invariant",
+]
 
 
 def manual_trajectory(g, params, u_fields, mu_fields):
@@ -133,13 +143,59 @@ def test_identity_rows_on_short_run():
     b = BetaSpec("power", c2=0.0)
     sc = Scenario(grid=g, params=params, beta=b, pi=PiSpec("zero"), u0=Field(g, np.cos(np.pi * g.axis)))
     rows = identity_report(run(sc, TIGHT), b, sc.pi, tol=1e-10)
-    assert [name for name, _, _ in rows] == [
-        "ubar_uhat_l2_identity",
-        "reconstruction_increment_identity",
-        "per_step_energy_balance",
-        "mean_mass_invariant",
-    ]
+    assert [name for name, _, _ in rows] == IDENTITY_ROWS
     assert all(passed for _, _, passed in rows)
+
+
+@pytest.fixture(scope="module")
+def block_runs(tmp_path_factory):
+    # 1D n=48 walks 42 steps per block, so N=100 spans three blocks. One run
+    # is forced by a density source; the other is unforced and reloaded from
+    # CSV, which leaves its trajectory without sources
+    g = make_grid(1, 48)
+    params = SimParams(eps=0.1, lam=0.02, N=100, T=0.5, eta=0.5)
+    u0 = Field(g, 0.8 * np.cos(np.pi * g.axis))
+    sc = Scenario(grid=g, params=params, beta=BetaSpec("logit"), pi=PiSpec("zero"), u0=u0)
+    forced = run(replace(sc, source=CosineSource(k=2, ramp=1.0)), TIGHT)
+    path = tmp_path_factory.mktemp("identities") / "t.csv"
+    save_trajectory_csv(run(sc, TIGHT), path)
+    reloaded = load_trajectory_csv(path, g, params)
+    assert forced.sources and not reloaded.sources
+    return {"forced": forced, "reloaded": reloaded}, sc
+
+
+def test_identity_rows_of_a_reloaded_unforced_run(block_runs):
+    runs, sc = block_runs
+    assert [name for name, _, passed in identity_report(runs["reloaded"], sc.beta, sc.pi) if passed] == IDENTITY_ROWS
+    assert all(passed for _, _, passed in identity_report(runs["forced"], sc.beta, sc.pi))
+
+
+# step 0, the last step of the first block, the first of the second, step N-1
+@pytest.mark.parametrize("k", [0, 41, 42, 99])
+@pytest.mark.parametrize(
+    "plant,failing,passing",
+    [
+        ("mu_bump", {"per_step_energy_balance"}, {*IDENTITY_ROWS[:2], "mean_mass_invariant"}),
+        ("u_bump", {"per_step_energy_balance"}, {*IDENTITY_ROWS[:2], "mean_mass_invariant"}),
+        ("mu_shift", {"mean_mass_invariant"}, set(IDENTITY_ROWS[:2])),
+    ],
+)
+@pytest.mark.parametrize("which", ["forced", "reloaded"])
+def test_identity_report_finds_planted_defect_in_each_block(block_runs, which, plant, failing, passing, k):
+    # a mean-free bump in mu_{k+1} or u_k breaks the energy balance of step k
+    # (and of step k-1 for u_k) but not the mean of u + h*mu, which a constant
+    # shift of mu_{k+1} moves. The first two identities hold for any data
+    runs, sc = block_runs
+    traj = runs[which]
+    g = traj.grid
+    n, name = (k, "u") if plant == "u_bump" else (k + 1, "mu")
+    delta = np.full(g.shape, 1e-4) if plant == "mu_shift" else 1e-4 * np.cos(np.pi * g.axis)
+    states = list(traj.states)
+    states[n] = replace(states[n], **{name: getattr(states[n], name) + Field(g, delta)})
+    rows = identity_report(Trajectory(states, traj.params, traj.sources), sc.beta, sc.pi)
+    assert [row for row, _, _ in rows] == IDENTITY_ROWS
+    failed = {row for row, _, passed in rows if not passed}
+    assert failing <= failed and not passing & failed
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: the energy-balance scale vanishes at steady state")

@@ -205,7 +205,7 @@ _PROPERTY_GRIDS = st.sampled_from([(1, 4), (1, 5), (1, 33), (1, 256), (2, 4), (2
 _SCALES = st.sampled_from([1e-6, 1.0, 1e6])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(size=_PROPERTY_GRIDS, su=_SCALES, sw=_SCALES, seed=st.integers(0, 2**32 - 1))
 def test_summation_by_parts(size, su, sw, seed):
     # (-Lap u, w)_h equals the inner product of face differences over the
@@ -224,7 +224,7 @@ def test_summation_by_parts(size, su, sw, seed):
     assert abs(lhs - rhs) <= 8 * (2 * d + np.log2(g.node_count)) * _EPS * scale
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(size=_PROPERTY_GRIDS, su=_SCALES, sv=_SCALES, seed=st.integers(0, 2**32 - 1))
 def test_advective_divergence_mean_zero_property(size, su, sv, seed):
     d, n = size

@@ -16,7 +16,6 @@ from chemhill.nonlinearity import (
     resolvent,
     validate_assumptions,
     yosida,
-    yosida_prime,
 )
 
 import oracles
@@ -135,7 +134,6 @@ def test_yosida_nondecreasing_and_prime_nonnegative():
         b = BetaSpec(family)
         bt = yosida(b, 0.05, r)
         assert np.all(np.diff(bt) >= -1e-12)
-        assert np.all(yosida_prime(b, 0.05, r) >= 0.0)
 
 
 def test_logit_lower_bound_odd_form():
@@ -202,7 +200,7 @@ def test_validation_report_renders_each_assumption():
         assert name in text
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     spec=st.sampled_from([("linear", 3.0), ("power", 3.0), ("power", 5.5), ("logit", 3.0), ("abs_logit", 3.0)]),
     tau=st.floats(1e-8, 1e2),
