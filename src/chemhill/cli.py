@@ -33,6 +33,7 @@ across repeated runs of the same config.
 
 import argparse
 import configparser
+import gc
 import io
 import math
 import os
@@ -508,6 +509,16 @@ def dispatch(command, cfg, jobs=1, outdir=None):
 
 
 def main(argv=None):
+    """Process entry point: parse ``argv``, run the command, return its exit status.
+
+    ``main`` freezes the collector first; ``dispatch``, the library entry,
+    leaves collection as it finds it.
+    """
+    # the ~22,000 objects alive here, mostly NumPy's, live until exit; in the
+    # permanent generation no collection walks them, the shutdown ones
+    # included, which cut exit from about 40 ms to 10-14 ms (2-vCPU VM,
+    # NumPy 2.4.6). Objects the command makes stay collectable.
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="chemhill",
         description="Batch driver for the regularized chemotaxis scheme and its refinement studies.",

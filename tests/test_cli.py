@@ -506,12 +506,18 @@ def test_simulate_shifted_solve_failure_in_step_reports_step(tmp_path, monkeypat
     assert "simulate failed at step 0: shifted Neumann solve" in capsys.readouterr().out
 
 
+def _run_probe(probe):
+    # run a Python snippet in a fresh interpreter that imports this chemhill
+    src = str(Path(chemhill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     # the CLI uses no SciPy at all: not on import, not in a 2D simulate, a 1D
     # study or a validation; only reading elliptic.sla loads scipy.sparse.
     # Nor does it load numpy.random, numpy.ma or the hashlib numpy.random
     # pulls in, unless one was loaded before chemhill.cli was imported
-    src = str(Path(chemhill.__file__).resolve().parents[1])
     conf_2d = tmp_path / "sim.ini"
     conf_2d.write_text(RUNNABLE.replace("d = 1\nn = 48", "d = 2\nn = 12"))
     conf_1d = tmp_path / "study.ini"
@@ -535,8 +541,7 @@ def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
         "import scipy.sparse.linalg, chemhill.elliptic\n"
         "assert chemhill.elliptic.sla is scipy.sparse.linalg\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    done = _run_probe(probe)
     assert done.returncode == 0, done.stderr
 
 
@@ -553,7 +558,6 @@ def test_main_rejects_jobs_below_one_exit_two(tmp_path, capsys, jobs):
 
 def test_cli_serial_study_loads_no_process_pool(tmp_path):
     # the pool's modules load only when a study fans out over processes
-    src = str(Path(chemhill.__file__).resolve().parents[1])
     conf = tmp_path / "study.ini"
     conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
     # a simulate whose trajectory CSV is above the fork threshold, on two CPUs
@@ -575,8 +579,45 @@ def test_cli_serial_study_loads_no_process_pool(tmp_path):
         "assert forks == [1], forks\n"
         "check('simulate')\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    done = _run_probe(probe)
+    assert done.returncode == 0, done.stderr
+
+
+def test_main_freezes_the_collector_and_still_collects_cycles(tmp_path):
+    # main moves what is alive at entry to the permanent generation; a cycle
+    # made during the command is still collected
+    conf = tmp_path / "run.ini"
+    conf.write_text(RUNNABLE)
+    probe = (
+        "import gc, weakref, chemhill.cli\n"
+        "inner, seen = chemhill.cli.dispatch, {}\n"
+        "class Node: pass\n"
+        "def wrapped(*args, **kwargs):\n"
+        "    seen['frozen'] = gc.get_freeze_count()\n"
+        "    node = Node()\n"
+        "    node.self = node\n"
+        "    seen['ref'] = weakref.ref(node)\n"
+        "    del node\n"
+        "    return inner(*args, **kwargs)\n"
+        "chemhill.cli.dispatch = wrapped\n"
+        f"assert chemhill.cli.main(['validate', '--config', {str(conf)!r}]) == 0\n"
+        "assert seen['frozen'] > 0, seen\n"
+        "gc.collect()\n"
+        "assert seen['ref']() is None\n"
+    )
+    done = _run_probe(probe)
+    assert done.returncode == 0, done.stderr
+
+
+def test_dispatch_leaves_the_collector_unfrozen(tmp_path):
+    # the library entry does not freeze: in-process callers keep normal collection
+    probe = (
+        "import gc, chemhill.cli\n"
+        f"cfg = chemhill.cli.parse_config({RUNNABLE!r})\n"
+        "assert chemhill.cli.dispatch('validate', cfg) == 0\n"
+        "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+    )
+    done = _run_probe(probe)
     assert done.returncode == 0, done.stderr
 
 
@@ -626,7 +667,6 @@ def test_main_nonfinite_ledger_exit_one(tmp_path, capsys, command):
 def test_parallel_study_workers_print_no_numpy_warning(tmp_path):
     # spawned workers do not inherit the CLI's floating-point error state
     # unless the pool passes it on
-    src = str(Path(chemhill.__file__).resolve().parents[1])
     conf = tmp_path / "huge.ini"
     conf.write_text(_HUGE_ETA)
     argv = ["study-h", "--config", str(conf), "--out", str(tmp_path / "out"), "--jobs", "2"]
@@ -636,8 +676,7 @@ def test_parallel_study_workers_print_no_numpy_warning(tmp_path):
         "multiprocessing.set_start_method('spawn')\n"
         f"sys.exit(chemhill.cli.main({argv!r}))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    done = _run_probe(probe)
     assert done.returncode == 1, done.stderr
     assert "q1, q6, q7, q8, q12 are not finite" in done.stdout
     assert done.stderr == ""
@@ -667,6 +706,8 @@ _FUZZ_KEYS = {
     ("solver", "lin_tol"): (["1e-11", "1e-14"], ["0", "nan"]),
     ("solver", "newton_tol"): (["1e-10", "1e-13"], ["0", "nan"]),
     ("study", "h_levels"): (["2, 4"], ["2.5, 4", "nan"]),
+    ("study", "lambda_levels"): (["0.02, 0.01", "0.01, 0.005, 0.0025"], ["nan", "0.01, 0.02"]),
+    ("study", "epsilon_levels"): (["0.1, 0.05", "0.2, 0.1, 0.05"], ["nan", "0.05, 0.1"]),
 }
 _FUZZ_BREAKS = [(key, value) for key, (_, bad) in _FUZZ_KEYS.items() for value in bad]
 
@@ -681,6 +722,14 @@ def _fuzz_config(values):
 
 def _artifacts_finite(outdir):
     for path in outdir.glob("*.csv"):
+        # an all-numeric table (a trajectory) parses in one call; a table with
+        # text or empty cells is read token by token
+        try:
+            if not np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all():
+                return False
+            continue
+        except ValueError:
+            pass
         for line in path.read_text().splitlines()[1:]:
             for token in line.split(","):
                 try:
@@ -694,7 +743,7 @@ def _artifacts_finite(outdir):
 
 @settings(max_examples=60)
 @given(
-    command=st.sampled_from(["simulate", "study-h", "validate", "check-identities"]),
+    command=st.sampled_from(["simulate", "study-h", "study-lambda", "study-epsilon", "validate", "check-identities"]),
     values=st.fixed_dictionaries({k: st.sampled_from([None] + ok) for k, (ok, _) in _FUZZ_KEYS.items()}),
     breaks=st.lists(st.sampled_from(_FUZZ_BREAKS), max_size=2),
     out_name=st.sampled_from(["out", "file/sub"]),

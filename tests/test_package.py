@@ -1,7 +1,9 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
+from hypothesis.configuration import storage_directory
 
 import chemhill
 
@@ -16,3 +18,9 @@ def test_every_public_name_resolves(name):
     public = module.__all__
     assert len(public) == len(set(public))
     assert [attr for attr in public if not hasattr(module, attr)] == []
+
+
+def test_hypothesis_stores_nothing_in_the_checkout():
+    # tests/conftest.py points Hypothesis's storage at a per-session directory
+    root = Path(__file__).resolve().parents[1]
+    assert not storage_directory("constants").path.resolve().is_relative_to(root)
