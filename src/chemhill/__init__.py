@@ -60,7 +60,6 @@ from .scheme import (
     StepState,
     Trajectory,
     average_sources,
-    interpolants,
     run,
     step,
 )

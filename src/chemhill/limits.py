@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import LEDGER_COLUMNS, _blocks, build_ledger
 from .elliptic import SolverFailure, SolverOptions, dual_coefficients
-from .scheme import interpolants, run
+from .scheme import run
 
 __all__ = ["StudyReport", "STUDY_COLUMNS", "study", "estimate_order", "study_rows", "save_study_csv", "summarize"]
 
@@ -75,26 +75,43 @@ def estimate_order(diffs, ratios=None, floor=0.0):
     return orders
 
 
-def _uhat_diff_norms(view_a, view_b):
-    """Exact Linf(0,T;H) and L2(0,T;dual) distance between two linear reconstructions.
+def _uhat_at(traj, ts):
+    """u_hat of ``traj`` (linear from u_n to u_{n+1} on step n) at the sorted times ``ts``, stacked.
 
-    Both reconstructions are linear between their own breakpoints, so on the
+    A time within 1e-9 steps of a level takes that level exactly, and the step
+    index is clamped to N - 1, so a level time one ulp past T reads u_N.
+    """
+    kf = ts / traj.params.h
+    k = np.rint(kf)
+    level = np.abs(kf - k) <= 1e-9
+    n = np.minimum(np.where(level, k, np.floor(kf)), traj.params.N - 1)
+    s = (np.where(level, k, kf) - n).reshape((-1,) + (1,) * traj.grid.d)
+    u = np.stack([st.u.values for st in traj.states[int(n[0]) : int(n[-1]) + 2]])
+    i = (n - n[0]).astype(int)
+    return (1.0 - s) * u[i] + s * u[i + 1]
+
+
+def _uhat_diff_norms(traj_a, traj_b):
+    """Exact Linf(0,T;H) and L2(0,T;dual) distance between the u_hat of two trajectories.
+
+    Both reconstructions are linear between their own level times, so on the
     union partition the difference is linear per segment and both norms are
     exact: the Linf over a segment of a norm of a linear path is attained at
     an endpoint, and the squared dual norm integrates by the endpoint rule
     (ip(a,a) + ip(a,b) + ip(b,b))/3 per segment. The breakpoints are taken
-    in blocks, and each pairing ip(a,b) = (a, (I - Lap)^(-1) b)_h is the
-    sum of products of the ``dual_coefficients`` of a and b.
+    in blocks, each gathered by ``_uhat_at``, and each pairing
+    ip(a,b) = (a, (I - Lap)^(-1) b)_h is the sum of products of the
+    ``dual_coefficients`` of a and b.
     """
-    g = view_a.traj.grid
+    g = traj_a.grid
     spatial = tuple(range(-g.d, 0))
     # np.union1d of the two sorted time grids, without np.unique (which imports numpy.ma)
-    breaks = np.sort(np.concatenate([view_a.times, view_b.times]))
+    breaks = np.sort(np.concatenate([traj_a.times, traj_b.times]))
     breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
     linf_sq = l2v = 0.0
     for start, stop in _blocks(len(breaks) - 1, g.node_count):
         ts = breaks[start : stop + 1]
-        diff = view_a.u_hat_values(ts) - view_b.u_hat_values(ts)
+        diff = _uhat_at(traj_a, ts) - _uhat_at(traj_b, ts)
         linf_sq = max(linf_sq, float(np.max(np.sum(diff * diff, axis=spatial))))
         w = dual_coefficients(g, diff, 1.0)
         own = np.sum(w * w, axis=spatial)
@@ -162,9 +179,8 @@ def study(axis, base_scenario, levels, opts=None, jobs=1):
                 break
 
     report.ledgers = [build_ledger(tr, base_scenario.beta) for tr in trajectories]
-    views = [interpolants(tr) for tr in trajectories]
-    for va, vb in zip(views, views[1:]):
-        linf, l2v = _uhat_diff_norms(va, vb)
+    for ta, tb in zip(trajectories, trajectories[1:]):
+        linf, l2v = _uhat_diff_norms(ta, tb)
         report.diffs_linf_h.append(linf)
         report.diffs_l2_vstar.append(l2v)
     ratios = [v0 / v1 for v0, v1 in zip(values, values[1:])][: max(len(report.diffs_linf_h) - 1, 0)]

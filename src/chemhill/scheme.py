@@ -24,9 +24,7 @@ solves' forward error by h and skip a residual check. The initial
 potential is identically zero and the initial density is the smoothed
 datum.
 
-Besides the marching loop this module holds the piecewise-in-time
-reconstructions of a finished run (linear and one-sided constant
-interpolants) and the trajectory CSV format.
+Besides the marching loop this module holds the trajectory CSV format.
 """
 
 import csv
@@ -48,8 +46,6 @@ __all__ = [
     "average_sources",
     "step",
     "run",
-    "interpolants",
-    "InterpolantView",
     "save_trajectory_csv",
     "load_trajectory_csv",
 ]
@@ -236,92 +232,6 @@ def run(scenario, opts=None):
 
 
 # ---------------------------------------------------------------------------
-# interpolants
-
-
-class InterpolantView:
-    """Piecewise time reconstructions of a trajectory.
-
-    ``u_hat`` is continuous piecewise linear through the levels, ``u_bar``
-    takes the right level on each interval, ``u_under`` the left one; the
-    same for the potential. Evaluation outside [0, T] is an error. The
-    endpoint conventions follow the interval-interior definitions:
-    u_bar(0) is the first-interval value, u_under(T) the last one.
-    """
-
-    def __init__(self, traj):
-        self.traj = traj
-        self.params = traj.params
-        self.h = traj.params.h
-        self.times = traj.times
-        self._u = [s.u for s in traj.states]
-        self._mu = [s.mu for s in traj.states]
-
-    def _locate(self, t):
-        T = self.params.T
-        if not (np.isfinite(t) and 0.0 <= t <= T):
-            raise ValueError(f"t={t} outside [0, {T}]")
-        kf = t / self.h
-        k = int(round(kf))
-        exact = 0 <= k <= self.params.N and abs(kf - k) <= 1e-9
-        return kf, k, exact
-
-    def _hat_weights(self, t):
-        # (n, s) with hat(t) = (1 - s)*level_n + s*level_{n+1}; s is 0 or 1 at a level
-        kf, k, exact = self._locate(t)
-        if exact:
-            n = min(k, self.params.N - 1)
-            return n, float(k - n)
-        n = min(int(kf), self.params.N - 1)
-        return n, kf - n
-
-    def _hat(self, seq, t):
-        n, s = self._hat_weights(t)
-        if s in (0.0, 1.0):
-            return seq[n + int(s)]
-        return (1.0 - s) * seq[n] + s * seq[n + 1]
-
-    def _right_index(self, t):
-        # right-constant convention on the half-open intervals (t_n, t_{n+1}]
-        kf, k, exact = self._locate(t)
-        n = k if exact else int(np.ceil(kf))
-        return min(max(n, 1), self.params.N)
-
-    def _left_index(self, t):
-        kf, k, exact = self._locate(t)
-        n = k if exact else int(kf)
-        return min(max(n, 0), self.params.N - 1)
-
-    def u_hat(self, t):
-        return self._hat(self._u, t)
-
-    def u_hat_values(self, ts):
-        """Values of ``u_hat`` at each time of ``ts``, stacked along a leading axis."""
-        n, s = np.array([self._hat_weights(t) for t in ts]).T
-        n = n.astype(int)
-        s = s.reshape((-1,) + (1,) * self.traj.grid.d)
-        lo = np.stack([self._u[k].values for k in n])
-        hi = np.stack([self._u[k + 1].values for k in n])
-        return (1.0 - s) * lo + s * hi
-
-    def mu_hat(self, t):
-        return self._hat(self._mu, t)
-
-    def u_bar(self, t):
-        return self._u[self._right_index(t)]
-
-    def mu_bar(self, t):
-        return self._mu[self._right_index(t)]
-
-    def u_under(self, t):
-        return self._u[self._left_index(t)]
-
-
-def interpolants(traj):
-    return InterpolantView(traj)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -428,23 +338,32 @@ def _fork_writer(name, states, template, h):
 
 
 def load_trajectory_csv(path, grid, params):
-    """Rebuild a trajectory saved with stride 1 (all N+1 states present)."""
+    """Rebuild a trajectory saved with stride 1 (all N+1 states present).
+
+    A node outside ``[0, node_count)`` or a second row for one (t, node) is
+    rejected with its line number; snapshot n must lie at exactly n*h.
+    """
+    count = grid.node_count
     rows = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for t, node, u, mu, v in reader:
-            rows.setdefault(float(t), []).append((int(node), float(u), float(mu), float(v)))
+            block, node = rows.setdefault(float(t), {}), int(node)
+            if not 0 <= node < count:
+                raise ValueError(f"trajectory csv line {reader.line_num}: node {node} outside 0..{count - 1}")
+            if node in block:
+                raise ValueError(f"trajectory csv line {reader.line_num}: second row for t={t}, node {node}")
+            block[node] = (float(u), float(mu), float(v))
     times = sorted(rows)
     if len(times) != params.N + 1:
         raise ValueError(f"expected {params.N + 1} snapshots, found {len(times)}")
     states = []
     for n, t in enumerate(times):
-        block = sorted(rows[t])
-        if len(block) != grid.node_count:
-            raise ValueError(f"snapshot at t={t} has {len(block)} nodes, expected {grid.node_count}")
-        arr = np.asarray(block, dtype=float)
-        states.append(
-            StepState(n, Field(grid, arr[:, 1]), Field(grid, arr[:, 2]), Field(grid, arr[:, 3]))
-        )
+        if t != n * params.h:  # the writer's .17g times round-trip exactly
+            raise ValueError(f"snapshot {n} at t={t!r}, expected n*h = {n * params.h!r}")
+        if len(rows[t]) != count:
+            raise ValueError(f"snapshot at t={t} has {len(rows[t])} nodes, expected {count}")
+        arr = np.array([rows[t][j] for j in range(count)])
+        states.append(StepState(n, Field(grid, arr[:, 0]), Field(grid, arr[:, 1]), Field(grid, arr[:, 2])))
     return Trajectory(states, params)

@@ -11,7 +11,9 @@ are ``scipy.fft`` solves refined against the dense stencil, with K mu_n
 and K adv_n solved separately, and dual norms, the ledger and the study
 differences evaluated one step at a time, each dual norm through a checked
 linear solve instead of a spectral sum, and the ledger's other terms from
-``np.diff`` face differences and the dense stencil.
+``np.diff`` face differences and the dense stencil. The pointwise time
+reconstructions of a run (linear and one-sided constant) are evaluated
+one time at a time, located against the level times.
 """
 
 import csv
@@ -288,18 +290,74 @@ def per_step_ledger(traj, b, opts=None):
     return led
 
 
-def solve_uhat_diff_norms(view_a, view_b, opts=None):
+class Reconstruction:
+    """Pointwise time reconstructions of a trajectory, one time at a time.
+
+    ``u_hat`` is continuous piecewise linear through the levels, ``u_bar``
+    takes the right level on each interval (t_n, t_{n+1}], ``u_under`` the
+    left one on [t_n, t_{n+1}); the same for the potential. A time within
+    1e-9 steps of a level time n*h is that level; any other time outside
+    [0, T] is an error. The endpoint conventions follow the interval-interior
+    definitions: u_bar(0) is the first interval's value, u_under(T) the last
+    one's. Times are located against the level times themselves, and the
+    linear blend is ``Field`` arithmetic.
+    """
+
+    def __init__(self, traj):
+        self.N, self.T, self.h = traj.params.N, traj.params.T, traj.params.h
+        self.levels = np.arange(self.N + 1) * self.h
+        self._u = [s.u for s in traj.states]
+        self._mu = [s.mu for s in traj.states]
+
+    def locate(self, t):
+        """(n, s) with t = (n + s)*h: s == 0 exactly at a level, else 0 < s < 1."""
+        if not np.isfinite(t):
+            raise ValueError(f"t={t} outside [0, {self.T}]")
+        nearest = int(np.argmin(np.abs(self.levels - t)))
+        if abs(t - self.levels[nearest]) <= 1e-9 * self.h:
+            return nearest, 0.0
+        if not 0.0 <= t <= self.T:
+            raise ValueError(f"t={t} outside [0, {self.T}]")
+        n = int(np.searchsorted(self.levels, t)) - 1
+        return n, t / self.h - n
+
+    def _hat(self, seq, t):
+        n, s = self.locate(t)
+        return seq[n] if s == 0.0 else (1.0 - s) * seq[n] + s * seq[n + 1]
+
+    def _right(self, seq, t):
+        n, s = self.locate(t)
+        return seq[min(max(n + (s > 0.0), 1), self.N)]
+
+    def u_hat(self, t):
+        return self._hat(self._u, t)
+
+    def mu_hat(self, t):
+        return self._hat(self._mu, t)
+
+    def u_bar(self, t):
+        return self._right(self._u, t)
+
+    def mu_bar(self, t):
+        return self._right(self._mu, t)
+
+    def u_under(self, t):
+        return self._u[min(self.locate(t)[0], self.N - 1)]
+
+
+def solve_uhat_diff_norms(traj_a, traj_b, opts=None):
     """Linf(0,T;H) and L2(0,T;dual) distance of two linear reconstructions, break by break.
 
-    Each breakpoint's difference is a ``Field`` from ``u_hat``, and each
-    dual pairing uses a checked shifted solve.
+    Each breakpoint's difference is a ``Field`` from :class:`Reconstruction`,
+    and each dual pairing uses a checked shifted solve.
     """
     from chemhill.elliptic import helmholtz_solve
     from chemhill.grid import inner_h, norm_h
 
-    g = view_a.traj.grid
-    breaks = np.union1d(view_a.times, view_b.times)
-    fields = [view_a.u_hat(t) - view_b.u_hat(t) for t in breaks]
+    g = traj_a.grid
+    rec_a, rec_b = Reconstruction(traj_a), Reconstruction(traj_b)
+    breaks = np.union1d(rec_a.levels, rec_b.levels)
+    fields = [rec_a.u_hat(t) - rec_b.u_hat(t) for t in breaks]
     solved = [helmholtz_solve(g, f, opts) for f in fields]
     l2v = 0.0
     for k in range(len(breaks) - 1):

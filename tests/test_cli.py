@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import os
@@ -297,6 +298,22 @@ def test_main_study_h(tmp_path, capsys):
     assert code == 0
     assert (out / "study_h.csv").exists()
     assert "refinement study along the h axis" in capsys.readouterr().out
+
+
+def test_main_study_h_level_times_one_ulp_past_T(tmp_path, capsys):
+    # 11 * (0.1/11) and 22 * (0.1/22) round one ulp above T = 0.1; the study
+    # reads u_N there instead of refusing the time as outside [0, T]
+    text = RUNNABLE.replace("n = 48", "n = 16").replace("lambda = 0.02", "lambda = 0.05")
+    conf = tmp_path / "run.ini"
+    conf.write_text(text + "\n[study]\nh_levels = 11, 22\n")
+    out = tmp_path / "study"
+    assert main(["study-h", "--config", str(conf), "--out", str(out)]) == 0
+    with open(out / "study_h.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert rows[0]["diff_linf_h"] and rows[0]["diff_l2_vstar"]
+    numbers = [v for row in rows for k, v in row.items() if k not in ("axis", "beta_family") and v]
+    assert all(np.isfinite(float(v)) for v in numbers)
 
 
 def test_csv_initial_and_series_source(tmp_path):

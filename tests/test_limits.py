@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from chemhill.elliptic import SolverOptions
-from chemhill.grid import Field, make_grid, norm_h
-from chemhill.limits import _uhat_diff_norms, estimate_order, save_study_csv, study, summarize
+from chemhill.grid import Field, make_grid, norm_h, norm_l4, norm_v
+from chemhill.limits import _uhat_at, _uhat_diff_norms, estimate_order, save_study_csv, study, summarize
 from chemhill.nonlinearity import BetaSpec, PiSpec
-from chemhill.scheme import Scenario, SimParams, StepState, Trajectory, interpolants, run
+from chemhill.scheme import Scenario, SimParams, StepState, Trajectory, run
 
 import oracles
 
@@ -104,24 +104,35 @@ def test_study_marks_failed_level():
     assert "residual" in rep.failure_message or "stagnated" in rep.failure_message
 
 
+def test_study_h_reads_the_last_level_at_a_time_past_T():
+    # N * (T/N) rounds one ulp above T = 0.1 at N = 11 and N = 22; the gather
+    # clamps the step index, so that level time reads u_N
+    assert 11 * (0.1 / 11) > 0.1 and 22 * (0.1 / 22) > 0.1
+    sc = base_scenario(make_grid(1, 16), eta=0.5, N=11, T=0.1, lam=0.05, c2=0.0)
+    rep = study("h", sc, [11, 22])
+    assert rep.failed_level is None
+    assert len(rep.diffs_linf_h) == len(rep.diffs_l2_vstar) == 1
+    assert all(np.isfinite(d) and d > 0 for d in rep.diffs_linf_h + rep.diffs_l2_vstar)
+    traj = run(sc)
+    assert np.array_equal(_uhat_at(traj, traj.times)[-1], traj.states[-1].u.values)
+
+
 def test_identical_runs_have_zero_difference():
     g = make_grid(1, 32)
     sc = base_scenario(g, eta=0.5, N=8, T=0.05, c2=0.0)
     opts = SolverOptions()
-    va = interpolants(run(sc, opts))
-    vb = interpolants(run(sc, opts))
-    linf, l2v = _uhat_diff_norms(va, vb)
+    linf, l2v = _uhat_diff_norms(run(sc, opts), run(sc, opts))
     assert linf == 0.0
     assert l2v == 0.0
 
 
-def _random_view(g, N, T, seed):
+def _random_trajectory(g, N, T, seed):
     rng = np.random.default_rng(seed)
     states = []
     for n in range(N + 1):
         u = Field(g, rng.standard_normal(g.shape))
         states.append(StepState(n, u, u, u))
-    return interpolants(Trajectory(states, SimParams(eps=0.1, lam=0.01, N=N, T=T)))
+    return Trajectory(states, SimParams(eps=0.1, lam=0.01, N=N, T=T))
 
 
 # blocks of 64 breakpoints in 1D at n=32 and of 8 in 2D at n=16; the level
@@ -129,11 +140,96 @@ def _random_view(g, N, T, seed):
 @pytest.mark.parametrize("d,n,Na,Nb", [(1, 32, 1, 2), (1, 32, 45, 70), (2, 16, 1, 3), (2, 16, 5, 7)])
 def test_blocked_uhat_diff_norms_match_solve_oracle(d, n, Na, Nb):
     g = make_grid(d, n)
-    va, vb = _random_view(g, Na, 0.3, seed=Na), _random_view(g, Nb, 0.3, seed=Nb)
-    got = _uhat_diff_norms(va, vb)
-    want = oracles.solve_uhat_diff_norms(va, vb)
+    ta, tb = _random_trajectory(g, Na, 0.3, seed=Na), _random_trajectory(g, Nb, 0.3, seed=Nb)
+    got = _uhat_diff_norms(ta, tb)
+    want = oracles.solve_uhat_diff_norms(ta, tb)
     assert got == pytest.approx(want, rel=1e-12)
 
+
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 4)])
+def test_uhat_gather_matches_pointwise_oracle(d, n):
+    # at T = 0.3 the level times of N = 30 and N = 45 pair up within a few
+    # ulps: 9 of the 69 union segments are about 1e-17 long, so each run is
+    # also gathered a few ulps from its own levels. Every union breakpoint
+    # and every segment midpoint is checked
+    g = make_grid(d, n)
+    ta, tb = _random_trajectory(g, 30, 0.3, seed=1), _random_trajectory(g, 45, 0.3, seed=2)
+    breaks = np.union1d(ta.times, tb.times)
+    assert np.sum(np.diff(breaks) < 1e-15) == 9
+    ts = np.union1d(breaks, 0.5 * (breaks[1:] + breaks[:-1]))
+    for traj in (ta, tb):
+        rec = oracles.Reconstruction(traj)
+        scale = max(np.max(np.abs(s.u.values)) for s in traj.states)
+        levels = between = 0
+        for t, got in zip(ts, _uhat_at(traj, ts)):
+            want = rec.u_hat(t).values
+            if rec.locate(t)[1] == 0.0:
+                levels += 1
+                assert np.array_equal(got, want)
+            else:
+                between += 1
+                assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        assert levels >= traj.params.N + 1 and between > 0
+
+
+# ---------------------------------------------------------------------------
+# reconstructions of a short run: the pointwise oracle and the study's gather
+
+
+@pytest.fixture(scope="module")
+def short_traj():
+    g = make_grid(1, 32)
+    params = SimParams(eps=0.1, lam=0.05, N=8, T=0.2, eta=0.5)
+    u0 = Field(g, np.cos(np.pi * g.axis))
+    sc = Scenario(grid=g, params=params, beta=BetaSpec("power", c2=0.0), pi=PiSpec("zero"), u0=u0)
+    return run(sc, SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True))
+
+
+def test_interpolant_evaluation_conventions(short_traj):
+    rec = oracles.Reconstruction(short_traj)
+    h = short_traj.params.h
+    states = short_traj.states
+    assert np.array_equal(rec.u_hat(0.0).values, states[0].u.values)
+    assert np.array_equal(rec.u_hat(short_traj.params.T).values, states[-1].u.values)
+    assert np.array_equal(rec.u_bar(0.0).values, states[1].u.values)
+    assert np.array_equal(rec.u_bar(1.5 * h).values, states[2].u.values)
+    assert np.array_equal(rec.u_under(1.5 * h).values, states[1].u.values)
+    assert np.array_equal(rec.u_under(short_traj.params.T).values, states[-2].u.values)
+    # at a shared breakpoint both one-sided reconstructions take that level
+    assert np.array_equal(rec.u_bar(h).values, states[1].u.values)
+    assert np.array_equal(rec.u_under(h).values, states[1].u.values)
+    mid = rec.u_hat(0.5 * h)
+    expect = 0.5 * (states[0].u + states[1].u)
+    assert np.max(np.abs(mid.values - expect.values)) <= 1e-15
+    with pytest.raises(ValueError):
+        rec.u_hat(-1e-9)
+    with pytest.raises(ValueError):
+        rec.u_bar(short_traj.params.T + 1e-9)
+
+
+def test_interpolant_max_form_identities(short_traj):
+    # the sup norms of the linear reconstruction over [0, T] reduce to the
+    # max of the initial value and the right-constant reconstruction
+    rec = oracles.Reconstruction(short_traj)
+    states = short_traj.states
+    for norm in (norm_v, norm_l4, norm_h):
+        hat_sup = max(norm(rec.u_hat(t)) for t in rec.levels)
+        bar_sup = max(norm(s.u) for s in states[1:])
+        assert hat_sup == pytest.approx(max(norm(states[0].u), bar_sup), abs=1e-14)
+    mu_hat_sup = max(norm_h(rec.mu_hat(t)) for t in rec.levels)
+    mu_bar_sup = max(norm_h(rec.mu_bar(t)) for t in rec.levels)
+    assert mu_hat_sup == pytest.approx(mu_bar_sup, abs=1e-14)
+
+
+def test_increment_identity_on_each_interval(short_traj):
+    rec = oracles.Reconstruction(short_traj)
+    h = short_traj.params.h
+    states = short_traj.states
+    for n in range(short_traj.params.N):
+        dot = (states[n + 1].u - states[n].u) / h
+        t = (n + 0.5) * h
+        gap = h * dot - (rec.u_bar(t) - rec.u_under(t))
+        assert np.max(np.abs(gap.values)) <= 1e-13
 
 def test_study_parallel_jobs_match_serial():
     g = make_grid(1, 32)

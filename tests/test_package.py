@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -18,6 +19,21 @@ def test_every_public_name_resolves(name):
     public = module.__all__
     assert len(public) == len(set(public))
     assert [attr for attr in public if not hasattr(module, attr)] == []
+
+
+def test_every_reexported_name_is_public_in_its_module():
+    # the package re-exports names from its modules; a name dropped from a
+    # module's __all__ (which tracing tools wrap) must leave the package too
+    tree = ast.parse(Path(chemhill.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    stray = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"chemhill.{node.module}").__all__
+    ]
+    assert stray == []
 
 
 def test_hypothesis_stores_nothing_in_the_checkout():

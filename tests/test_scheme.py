@@ -1,4 +1,6 @@
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import chemhill.elliptic
 import chemhill.scheme
 
 from chemhill.elliptic import SolverOptions, StepFailure, helmholtz_solve, step_solve
-from chemhill.grid import Field, make_grid, mean, norm_h, norm_l4, norm_v
+from chemhill.grid import Field, make_grid, mean, norm_h, norm_l4
 from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval
 from chemhill.scheme import (
     Scenario,
@@ -15,7 +17,6 @@ from chemhill.scheme import (
     StepState,
     Trajectory,
     average_sources,
-    interpolants,
     load_trajectory_csv,
     run,
     save_trajectory_csv,
@@ -160,8 +161,6 @@ def test_smoke_run_power_graph_bounded_states():
 
 
 def test_smoothing_preserves_mean_and_state_potentials_consistent():
-    from dataclasses import replace
-
     g = make_grid(1, 64)
     params = SimParams(eps=0.1, lam=0.05, N=4, T=0.05)
     sc = cosine_scenario(g, params, c2=0.0, amp=0.8, smooth=True)
@@ -198,7 +197,7 @@ def test_run_rejects_failed_assumptions():
 
 
 # ---------------------------------------------------------------------------
-# interpolants
+# a short run
 
 
 @pytest.fixture(scope="module")
@@ -208,53 +207,6 @@ def short_traj():
     u0 = Field(g, np.cos(np.pi * g.axis))
     sc = Scenario(grid=g, params=params, beta=BetaSpec("power", c2=0.0), pi=PiSpec("zero"), u0=u0)
     return run(sc, TIGHT)
-
-
-def test_interpolant_evaluation_conventions(short_traj):
-    view = interpolants(short_traj)
-    h = short_traj.params.h
-    states = short_traj.states
-    assert np.array_equal(view.u_hat(0.0).values, states[0].u.values)
-    assert np.array_equal(view.u_hat(short_traj.params.T).values, states[-1].u.values)
-    assert np.array_equal(view.u_bar(0.0).values, states[1].u.values)
-    assert np.array_equal(view.u_bar(1.5 * h).values, states[2].u.values)
-    assert np.array_equal(view.u_under(1.5 * h).values, states[1].u.values)
-    assert np.array_equal(view.u_under(short_traj.params.T).values, states[-2].u.values)
-    # at a shared breakpoint both one-sided reconstructions take that level
-    assert np.array_equal(view.u_bar(h).values, states[1].u.values)
-    assert np.array_equal(view.u_under(h).values, states[1].u.values)
-    mid = view.u_hat(0.5 * h)
-    expect = 0.5 * (states[0].u + states[1].u)
-    assert np.max(np.abs(mid.values - expect.values)) <= 1e-15
-    with pytest.raises(ValueError):
-        view.u_hat(-1e-9)
-    with pytest.raises(ValueError):
-        view.u_bar(short_traj.params.T + 1e-9)
-
-
-def test_interpolant_max_form_identities(short_traj):
-    # the sup norms of the linear reconstruction over [0, T] reduce to the
-    # max of the initial value and the right-constant reconstruction
-    view = interpolants(short_traj)
-    states = short_traj.states
-    for norm in (norm_v, norm_l4, norm_h):
-        hat_sup = max(norm(view.u_hat(t)) for t in view.times)
-        bar_sup = max(norm(s.u) for s in states[1:])
-        assert hat_sup == pytest.approx(max(norm(states[0].u), bar_sup), abs=1e-14)
-    mu_hat_sup = max(norm_h(view.mu_hat(t)) for t in view.times)
-    mu_bar_sup = max(norm_h(s.mu) for s in states[1:])
-    assert mu_hat_sup == pytest.approx(mu_bar_sup, abs=1e-14)
-
-
-def test_increment_identity_on_each_interval(short_traj):
-    view = interpolants(short_traj)
-    h = short_traj.params.h
-    states = short_traj.states
-    for n in range(short_traj.params.N):
-        dot = (states[n + 1].u - states[n].u) / h
-        t = (n + 0.5) * h
-        gap = h * dot - (view.u_bar(t) - view.u_under(t))
-        assert np.max(np.abs(gap.values)) <= 1e-13
 
 
 def test_subdifferential_inequality_along_run(short_traj):
@@ -293,6 +245,32 @@ def _random_trajectory(d, n, N):
         u.flat[0], mu.flat[1], v.flat[2] = -0.0, 1e-300, -1e-300
         states.append(StepState(k, Field(g, u), Field(g, mu), Field(g, v)))
     return Trajectory(states, params)
+
+
+@pytest.mark.parametrize(
+    "line, node, T_scale, message",
+    [
+        # node 2 of the first snapshot written as a second node 1
+        pytest.param(3, 1, 1.0, "trajectory csv line 4: second row for t=0, node 1", id="repeated-node"),
+        pytest.param(2, 99, 1.0, "trajectory csv line 3: node 99 outside 0..7", id="node-out-of-range"),
+        # written at T = 0.05, read under T = 0.025: every time but 0 is off n*h
+        pytest.param(None, None, 0.5, "snapshot 1 at t=0.016666666666666666, expected n*h = ", id="rescaled-times"),
+    ],
+)
+def test_trajectory_csv_load_rejects_what_it_would_reinterpret(tmp_path, line, node, T_scale, message):
+    traj = _random_trajectory(1, 8, 3)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path)
+    if line is not None:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+        fields = lines[line].split(",")
+        lines[line] = ",".join([fields[0], str(node)] + fields[2:])
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines)
+    params = replace(traj.params, T=traj.params.T * T_scale)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_trajectory_csv(path, traj.grid, params)
 
 
 def _forced_fork(monkeypatch):
