@@ -241,9 +241,8 @@ def identity_report(traj, b, p, tol=1e-10):
 
 def smoothed_random_field(g, rng, opts=None, scale=1.0):
     """White nodal noise pushed twice through the shifted solve (a W-regular field)."""
-    raw = Field(g, rng.standard_normal(g.shape))
-    smooth = helmholtz_solve(g, helmholtz_solve(g, raw, opts), opts)
-    return scale * smooth
+    smooth = helmholtz_solve(g, helmholtz_solve(g, rng.standard_normal(g.shape), opts), opts)
+    return Field(g, smooth * float(scale))
 
 
 @dataclass

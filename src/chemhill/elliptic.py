@@ -1,5 +1,10 @@
 """Neumann linear solvers, dual norms, and the per-step nonlinear solve.
 
+Every public function takes and returns ndarrays of shape ``g.shape`` (a
+wrong shape is a grid mismatch); ``grid.Field`` is the state type, which
+``scheme`` builds once per state. A non-finite value fails the residual
+check of the first solve it reaches.
+
 The cell-centred mirror-ghost Laplacian is diagonal in the orthonormal
 DCT-II basis, with eigenvalue sum_axes -4 sin^2(pi*k/(2n))/dx^2 on mode k
 (Strang, SIAM Review 41, 1999). So the shifted solve (I - alpha*Lap)^(-1)
@@ -69,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinearity as nl
-from .grid import Field, _laplacian, mean, norm_h
+from .grid import _laplacian
 
 __all__ = [
     "SolverOptions",
@@ -138,10 +143,10 @@ class SolverOptions:
     polish: bool = False
 
     def __post_init__(self):
-        if self.lin_tol <= 0 or self.newton_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
+        if not (0 < self.lin_tol < np.inf and 0 < self.newton_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not (isinstance(self.max_newton, (int, np.integer)) and self.max_newton >= 1):
+            raise ValueError(f"max_newton must be an integer of at least 1, got {self.max_newton!r}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -239,49 +244,61 @@ def _checked_solve(g, b, shift, alpha, tol, what, x=None):
     # check, which grants the residual's evaluation floor eps_mach*|A|_2*|x| on
     # top of the caller's tol (normwise backward error, Higham 2002, 7.1-7.2).
     # An x already applied from the same table is checked, not applied again.
+    # Written as ``not rnorm <= limit`` so that a NaN residual fails.
     if x is None:
         x = _dct_apply(b, _inverse_symbol(g.d, g.n, shift, alpha))
     rnorm = float(np.linalg.norm(b - (shift * x - alpha * _laplacian(x, g.dx))))
     op_norm = shift - alpha * float(_eigenvalues(g.d, g.n).min())
-    if rnorm > tol + 8.0 * np.finfo(float).eps * op_norm * float(np.linalg.norm(x)):
+    if not rnorm <= tol + 8.0 * np.finfo(float).eps * op_norm * float(np.linalg.norm(x)):
         raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
     return x
 
 
+def _shifted_solve(g, b, alpha, opts, x=None):
+    # (I - alpha*Lap)^(-1) b, checked against lin_tol * max(1, |b|)
+    tol = opts.lin_tol * max(1.0, float(np.linalg.norm(b)))
+    return _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann", x)
+
+
+def _on_grid(g, *arrays):
+    if any(np.shape(a) != g.shape for a in arrays):
+        raise ValueError(f"grid mismatch: {g} vs arrays of shape {[np.shape(a) for a in arrays]}")
+
+
+def _mean_free(g, a, what):
+    _on_grid(g, a)
+    m = g.cell_volume * float(np.sum(a))
+    if abs(m) > 1e-10:
+        raise CompatibilityError(f"{what} must have zero average, got {m:.3e}")
+
+
 def helmholtz_solve(g, rhs, opts=None, alpha=1.0):
-    """Solve (I - alpha*Lap) w = rhs; alpha=1 is the chemotaxis potential operator.
+    """Solve (I - alpha*Lap) w = rhs on arrays; alpha=1 is the chemotaxis potential operator.
 
     Spectral solve; every call checks the stencil residual r once, against
     |r| <= lin_tol * max(1, |rhs|) + 8 * eps_mach * |I - alpha*Lap|_2 * |w|.
     """
-    opts = opts or SolverOptions()
-    if not g.matches(rhs.grid):
-        raise ValueError(f"grid mismatch: {g} vs {rhs.grid}")
-    tol = opts.lin_tol * max(1.0, float(np.linalg.norm(rhs.values)))
-    return Field(g, _checked_solve(g, rhs.values, 1.0, alpha, tol, "shifted Neumann"))
+    _on_grid(g, rhs)
+    return _shifted_solve(g, rhs, alpha, opts or SolverOptions())
 
 
 def neumann_poisson_solve(g, rhs, opts=None):
-    """Solve -Lap w = rhs for the unique mean-zero w (rhs must be mean-free).
+    """Solve -Lap w = rhs for the unique mean-zero array w (rhs must be mean-free).
 
     Spectral solve with the constant mode zeroed; every call checks the
     stencil residual r once, against
     |r| <= lin_tol * |rhs| + 8 * eps_mach * |Lap|_2 * |w|.
     """
     opts = opts or SolverOptions()
-    if not g.matches(rhs.grid):
-        raise ValueError(f"grid mismatch: {g} vs {rhs.grid}")
-    m = mean(rhs)
-    if abs(m) > 1e-10:
-        raise CompatibilityError(f"right-hand side must have zero average, got {m:.3e}")
-    b = rhs.values - rhs.values.mean()
+    _mean_free(g, rhs, "right-hand side")
+    b = rhs - rhs.mean()
     tol = opts.lin_tol * float(np.linalg.norm(b))
-    return Field(g, _checked_solve(g, b, 0.0, 1.0, tol, "mean-zero Poisson"))
+    return _checked_solve(g, b, 0.0, 1.0, tol, "mean-zero Poisson")
 
 
-def source_potential(g, g_field, opts=None):
+def source_potential(g, g_values, opts=None):
     """Mean-zero potential f with -Lap f = g (the representative is fixed mean-zero)."""
-    return neumann_poisson_solve(g, g_field, opts)
+    return neumann_poisson_solve(g, g_values, opts)
 
 
 def dual_coefficients(g, stack, shift):
@@ -299,16 +316,14 @@ def dual_coefficients(g, stack, shift):
 
 
 def vstar_norm(g, r):
-    """Dual H1 norm sqrt((r, (I - Lap)^(-1) r)_h), as a Parseval sum on the DCT-II modes."""
-    return float(np.linalg.norm(dual_coefficients(g, r.values[None], 1.0)))
+    """Dual H1 norm sqrt((r, (I - Lap)^(-1) r)_h) of an array, as a Parseval sum on the DCT-II modes."""
+    return float(np.linalg.norm(dual_coefficients(g, np.asarray(r)[None], 1.0)))
 
 
 def v0star_norm(g, r):
-    """Dual norm sqrt((r, (-Lap)^(-1) r)_h) of mean-zero data, as a Parseval sum on the DCT-II modes."""
-    m = mean(r)
-    if abs(m) > 1e-10:
-        raise CompatibilityError(f"argument must have zero average, got {m:.3e}")
-    return float(np.linalg.norm(dual_coefficients(g, r.values[None], 0.0)))
+    """Dual norm sqrt((r, (-Lap)^(-1) r)_h) of a mean-zero array, as a Parseval sum on the DCT-II modes."""
+    _mean_free(g, r, "argument")
+    return float(np.linalg.norm(dual_coefficients(g, r[None], 0.0)))
 
 
 def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
@@ -321,9 +336,9 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         Supplies eps, lam, h, and the stepsize bound making the operator
         strongly monotone.
     b, p : BetaSpec, PiSpec
-    rhs : Field
-        Assembled right-hand side of the decoupled step equation.
-    warm : Field
+    rhs : ndarray
+        Assembled right-hand side of the decoupled step equation, shape ``g.shape``.
+    warm : ndarray
         Warm start, normally the previous time level.
     opts : SolverOptions, optional
     k_warm : ndarray, optional
@@ -334,7 +349,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
 
     Returns
     -------
-    (Field, Field)
+    (ndarray, ndarray)
         The unique solution u, with final residual below
         ``newton_tol * max(1, |rhs|_H)``, and v = K u. v is the K u that
         the accepted iterate's residual formed from the same symbol table
@@ -346,46 +361,34 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
     ValueError
         If the stepsize condition fails (precondition).
     StepFailure
-        On stagnation at the damping floor, on the iteration cap, or on a
-        Newton direction whose CG misses its tolerance; carries the
-        residual history.
+        On a start whose residual is not finite, on stagnation at the
+        damping floor, on the iteration cap, or on a Newton direction whose
+        CG misses its tolerance; carries the residual history.
     SolverFailure
         If v misses the shifted solve's residual check.
 
     Notes
     -----
-    The dense operator K is never formed: it is applied on the DCT-II
-    modes. Each Newton direction solves the reduced system
-    (lam + D - eps*h*Lap + K) du = -r by conjugate gradients to a relative
-    residual of 1e-13, within node_count iterations; a direction that
-    misses it raises StepFailure and is never used, and a zero right-hand
-    side gives a zero direction. The preconditioner is the DCT-diagonal
-    operator with D replaced by its minimum. When D's spread is at most
-    the preconditioner's smallest eigenvalue, the CG product follows its
-    own recurrence from the preconditioned residual, and an iteration makes
-    one transform apply. Otherwise the preconditioner is scaled on both
-    sides by a diagonal that restores the operator's diagonal where D is
-    large, and the product applies D as a vector and -eps*h*Lap + K as one
-    multiplier on the DCT modes. Neither path applies a stencil; the
-    Newton residual keeps it, so acceptance measures the true equation,
+    Newton runs on the exact graph from the warm start; bounded graphs use
+    a fraction-to-the-boundary rule so iterates stay strictly inside the
+    domain. Each direction solves (lam + D - eps*h*Lap + K) du = -r by the
+    preconditioned CG of the module docstring to a relative residual of
+    1e-13 within node_count iterations; a direction that misses it raises
+    StepFailure and is never used, and a zero right-hand side gives a zero
+    direction. CG applies no stencil; the Newton residual keeps it, so
+    acceptance, on the true residual alone, measures the true equation,
     whose evaluation floor is at roundoff rather than at cond(Lap)*eps.
-    Newton runs on the exact graph from the warm start; bounded
-    graphs use a fraction-to-the-boundary rule so iterates stay strictly
-    inside the domain. With ``polish`` set, an iteration that took a step
-    ends with one more Newton correction. Acceptance is the true residual
-    alone.
+    With ``polish`` set, an iteration that took a step ends with one more
+    Newton correction.
     """
     opts = opts or SolverOptions()
     eps, lam, h = params.eps, params.lam, params.h
     if not h < params.stepsize_bound:
-        raise ValueError(
-            f"stepsize condition violated: h={h:.6g} must be below {params.stepsize_bound:.6g}"
-        )
-    if not g.matches(rhs.grid) or not g.matches(warm.grid):
-        raise ValueError("grid mismatch in step_solve")
+        raise ValueError(f"stepsize condition violated: h={h:.6g} must be below {params.stepsize_bound:.6g}")
+    _on_grid(g, rhs, warm)
     k_mult = _inverse_symbol(g.d, g.n, 1.0, 1.0)
-    rhs_v = rhs.values
-    tol = opts.newton_tol * max(1.0, norm_h(rhs))
+    # norm_h's formula, so the tolerance is bitwise that of a Field's H norm
+    tol = opts.newton_tol * max(1.0, np.sqrt(g.cell_volume * float(np.dot(rhs.ravel(), rhs.ravel()))))
     history = []
 
     def residual(uu, ku=None):
@@ -394,19 +397,21 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         local = lam * uu - eps * h * _laplacian(uu, g.dx) + h * nl.beta_eval(b, uu) + h * nl.pi_eval(p, eps, uu)
         if ku is None:
             ku = _dct_apply(uu, k_mult)
-        return local + ku - rhs_v, ku
+        return local + ku - rhs, ku
 
     def direction(at, res, rnorm):
         coef = lam + h * (nl.beta_prime(b, at) + nl.pi_prime(p, eps, at))
         return _newton_direction(g, coef, eps * h, k_mult, -res, rnorm, history)
 
-    u = warm.values.copy()
+    u = warm.copy()
     if b.bounded:
         u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
-        if not np.array_equal(u, warm.values):
+        if not np.array_equal(u, warm):
             k_warm = None
     r1, ku = residual(u, k_warm)
     rn = _hnorm(g, r1)
+    if not np.all(np.isfinite(r1)):
+        raise StepFailure("Newton start has a non-finite residual", residual=rn)
     for _ in range(opts.max_newton):
         if rn <= tol:
             break
@@ -455,8 +460,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
             rt = np.inf
         if rt < rn:
             u, ku = ut, kut
-    v_tol = opts.lin_tol * max(1.0, float(np.linalg.norm(u)))
-    return Field(g, u), Field(g, _checked_solve(g, u, 1.0, 1.0, v_tol, "shifted Neumann", ku))
+    return u, _shifted_solve(g, u, 1.0, opts, ku)
 
 
 # relative residual at which a Newton direction counts as solved

@@ -95,9 +95,6 @@ class Field:
         self.grid = grid
         self.values = values
 
-    def copy(self):
-        return Field(self.grid, self.values.copy())
-
     def _check(self, other):
         if not self.grid.matches(other.grid):
             raise ValueError(f"grid mismatch: {self.grid} vs {other.grid}")

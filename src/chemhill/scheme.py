@@ -24,6 +24,10 @@ solves' forward error by h and skip a residual check. The initial
 potential is identically zero and the initial density is the smoothed
 datum.
 
+A step works on its states' arrays, as ``elliptic``'s solvers do, and
+builds a ``Field`` (the state type, which rejects non-finite entries)
+only for the transport term and the new state's u, mu and v.
+
 Besides the marching loop this module holds the trajectory CSV format.
 """
 
@@ -106,7 +110,7 @@ class SimParams:
 class StepState:
     """State after step n: density u, potential mu, chemotaxis potential v.
 
-    Invariant: v = K u with K = (I - Lap)^(-1), i.e. ``helmholtz_solve(grid, u)``;
+    Invariant: v = K u with K = (I - Lap)^(-1), i.e. ``helmholtz_solve(grid, u.values)``;
     ``run`` and ``step`` build every state that way and ``step`` relies on it.
     """
 
@@ -169,7 +173,7 @@ def step(prev, f_next, params, b, p, opts=None):
     """Advance one level; raises SolverFailure (with step index) on solver failure.
 
     ``prev.v`` serves as K u_n on the right-hand side and in the first
-    Newton residual, so it must be ``helmholtz_solve(grid, prev.u)`` (the
+    Newton residual, so it must be ``helmholtz_solve(grid, prev.u.values)`` (the
     StepState invariant); the shifted solves are deterministic, so this
     equals recomputing it bit for bit. The new state keeps the invariant:
     its v is the K u of the accepted Newton residual, bitwise the solve.
@@ -177,15 +181,16 @@ def step(prev, f_next, params, b, p, opts=None):
     opts = opts or SolverOptions()
     g = prev.u.grid
     h, lam = params.h, params.lam
+    u, mu, v = prev.u.values, prev.mu.values, prev.v.values
     try:
-        adv = params.eta * advective_divergence(g, prev.u, prev.v)
-        rhs = h * f_next + lam * prev.u + prev.v + h * helmholtz_solve(g, prev.mu - adv, opts)
-        u_next, v_next = step_solve(g, params, b, p, rhs, prev.u, opts, k_warm=prev.v.values)
-        mu_next = helmholtz_solve(g, prev.mu - (u_next - prev.u) / h - adv, opts)
+        adv = params.eta * advective_divergence(g, prev.u, prev.v).values
+        rhs = h * f_next.values + lam * u + v + h * helmholtz_solve(g, mu - adv, opts)
+        u_next, v_next = step_solve(g, params, b, p, rhs, u, opts, k_warm=v)
+        mu_next = helmholtz_solve(g, mu - (u_next - u) / h - adv, opts)
     except SolverFailure as exc:
         exc.step_index = prev.n
         raise
-    return StepState(prev.n + 1, u_next, mu_next, v_next)
+    return StepState(prev.n + 1, Field(g, u_next), Field(g, mu_next), Field(g, v_next))
 
 
 def run(scenario, opts=None):
@@ -201,25 +206,23 @@ def run(scenario, opts=None):
     params.validate()
 
     zero = Field(g, np.zeros(g.shape))
+    probes = []
     if scenario.source is None:
         f_fields = [zero] * params.N
-        probes = []
     elif scenario.source.kind == "g":
         probes = average_sources(scenario.source, params, g)
-        f_fields = [source_potential(g, gk, opts) for gk in probes]
+        f_fields = [Field(g, source_potential(g, gk.values, opts)) for gk in probes]
     else:
         f_fields = average_sources(scenario.source, params, g)
-        probes = []
 
     report = validate_assumptions(scenario.beta, scenario.pi, scenario.u0, probes)
     if not report.passed:
         raise ValueError("assumption validation failed: " + ", ".join(report.failed_names()))
 
+    u0e = scenario.u0
     if scenario.smooth_u0:
-        u0e = helmholtz_solve(g, scenario.u0, opts, alpha=params.eps)
-    else:
-        u0e = scenario.u0
-    state = StepState(0, u0e, zero, helmholtz_solve(g, u0e, opts))
+        u0e = Field(g, helmholtz_solve(g, u0e.values, opts, alpha=params.eps))
+    state = StepState(0, u0e, zero, Field(g, helmholtz_solve(g, u0e.values, opts)))
     states = [state]
     for k in range(params.N):
         try:

@@ -213,14 +213,14 @@ def four_solve_step(prev, f_next, params, b, p, opts):
     ``step_solve``, which is not what this oracle checks.
     """
     from chemhill.elliptic import step_solve
-    from chemhill.grid import Field, advective_divergence
+    from chemhill.grid import advective_divergence
 
     g, h = prev.u.grid, params.h
     u, mu, v = prev.u.values, prev.mu.values, prev.v.values
     adv = params.eta * advective_divergence(g, prev.u, prev.v).values
     k_mu, k_adv = refined_shifted_solve(mu), refined_shifted_solve(adv)
     rhs = h * f_next.values + params.lam * u + v + h * k_mu - h * k_adv
-    u_next = step_solve(g, params, b, p, Field(g, rhs), warm=prev.u, opts=opts)[0].values
+    u_next = step_solve(g, params, b, p, rhs, warm=u, opts=opts)[0]
     mu_next = refined_shifted_solve(mu - (u_next - u) / h - adv)
     return u_next, mu_next, refined_shifted_solve(u_next)
 
@@ -228,17 +228,17 @@ def four_solve_step(prev, f_next, params, b, p, opts):
 def solve_vstar_norm(g, r, opts=None):
     """sqrt((r, (I - Lap)^(-1) r)_h) through the package's checked shifted solve."""
     from chemhill.elliptic import helmholtz_solve
-    from chemhill.grid import inner_h
+    from chemhill.grid import Field, inner_h
 
-    return float(np.sqrt(max(inner_h(r, helmholtz_solve(g, r, opts)), 0.0)))
+    return float(np.sqrt(max(inner_h(r, Field(g, helmholtz_solve(g, r.values, opts))), 0.0)))
 
 
 def solve_v0star_norm(g, r, opts=None):
     """sqrt((r, (-Lap)^(-1) r)_h) through the package's checked mean-zero Poisson solve."""
     from chemhill.elliptic import neumann_poisson_solve
-    from chemhill.grid import inner_h
+    from chemhill.grid import Field, inner_h
 
-    return float(np.sqrt(max(inner_h(r, neumann_poisson_solve(g, r, opts)), 0.0)))
+    return float(np.sqrt(max(inner_h(r, Field(g, neumann_poisson_solve(g, r.values, opts))), 0.0)))
 
 
 def per_step_ledger(traj, b, opts=None):
@@ -352,13 +352,13 @@ def solve_uhat_diff_norms(traj_a, traj_b, opts=None):
     and each dual pairing uses a checked shifted solve.
     """
     from chemhill.elliptic import helmholtz_solve
-    from chemhill.grid import inner_h, norm_h
+    from chemhill.grid import Field, inner_h, norm_h
 
     g = traj_a.grid
     rec_a, rec_b = Reconstruction(traj_a), Reconstruction(traj_b)
     breaks = np.union1d(rec_a.levels, rec_b.levels)
     fields = [rec_a.u_hat(t) - rec_b.u_hat(t) for t in breaks]
-    solved = [helmholtz_solve(g, f, opts) for f in fields]
+    solved = [Field(g, helmholtz_solve(g, f.values, opts)) for f in fields]
     l2v = 0.0
     for k in range(len(breaks) - 1):
         dt = breaks[k + 1] - breaks[k]

@@ -112,7 +112,7 @@ def test_criterion_4_monotone_coercivity_probe():
             def apply_op(x):
                 return (
                     lam * x
-                    + ch.helmholtz_solve(g, x)
+                    + Field(g, ch.helmholtz_solve(g, x.values))
                     - eps * h * laplacian_apply(g, x)
                     + h * Field(g, graph(x.values))
                     + h * Field(g, pi_eval(p, eps, x.values))

@@ -523,6 +523,19 @@ def test_simulate_shifted_solve_failure_in_step_reports_step(tmp_path, monkeypat
     assert "simulate failed at step 0: shifted Neumann solve" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 32)])
+def test_simulate_overflow_in_the_first_step_names_the_step(tmp_path, capsys, d, n):
+    # eta = 1e308 overflows the transport term to inf: the first shifted solve
+    # of step 0 fails its residual check instead of returning NaN
+    text = RUNNABLE.replace("d = 1", f"d = {d}").replace("n = 48", f"n = {n}").replace("eta = 0.5", "eta = 1e308")
+    conf = tmp_path / "overflow.ini"
+    conf.write_text(text)
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "simulate failed at step 0: shifted Neumann solve residual nan" in captured.out
+    assert captured.err == ""
+
+
 def _run_probe(probe):
     # run a Python snippet in a fresh interpreter that imports this chemhill
     src = str(Path(chemhill.__file__).resolve().parents[1])
@@ -707,7 +720,7 @@ _FUZZ_KEYS = {
     ("params", "lambda"): (["0.01", "0.02"], ["0.2", "inf"]),
     ("params", "N"): (["1", "2", "4"], ["0"]),
     ("params", "T"): (["0.05", "0.1"], ["0", "1e300", "nan"]),
-    ("params", "eta"): (["0", "0.5"], ["-0.5", "1e300", "nan"]),
+    ("params", "eta"): (["0", "0.5"], ["-0.5", "1e300", "1e308", "nan"]),
     ("params", "c3"): (["0", "0.1"], ["0.5", "nan"]),
     ("beta", "family"): (["linear", "power", "logit", "abs_logit"], ["cubic"]),
     ("beta", "m"): (["3", "4"], ["2", "inf"]),

@@ -43,7 +43,7 @@ IDENTITY_ROWS = [
 
 def manual_trajectory(g, params, u_fields, mu_fields):
     states = [
-        StepState(n, u, mu, helmholtz_solve(g, u))
+        StepState(n, u, mu, Field(g, helmholtz_solve(g, u.values)))
         for n, (u, mu) in enumerate(zip(u_fields, mu_fields))
     ]
     return Trajectory(states, params)

@@ -36,11 +36,31 @@ def test_solver_options_validation():
         SolverOptions(max_newton=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"lin_tol": np.nan},
+        {"lin_tol": np.inf},
+        {"lin_tol": -1e-11},
+        {"newton_tol": np.nan},
+        {"newton_tol": np.inf},
+        {"newton_tol": 0.0},
+        {"max_newton": 2.5},
+        {"max_newton": "3"},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
+)
+def test_solver_options_reject_unusable_values(bad):
+    # a NaN tolerance would pass or fail every residual check whatever the residual
+    with pytest.raises(ValueError):
+        SolverOptions(**bad)
+    SolverOptions(**{key: 1 if key == "max_newton" else 1e-3 for key in bad})
+
+
 def test_helmholtz_constants_are_fixed_points():
     g = make_grid(1, 64)
-    rhs = Field(g, np.full(g.shape, 2.5))
-    w = helmholtz_solve(g, rhs)
-    assert np.max(np.abs(w.values - 2.5)) <= 1e-12
+    w = helmholtz_solve(g, np.full(g.shape, 2.5))
+    assert np.max(np.abs(w - 2.5)) <= 1e-12
 
 
 @pytest.mark.parametrize("d,k", [(1, 2), (2, 1)])
@@ -48,11 +68,11 @@ def test_helmholtz_mode_solution(d, k):
     g = make_grid(d, 128 if d == 1 else 32)
     vals = oracles.mode_values(g, k)
     a = d * oracles.mode_eigenvalue(g.n, k)
-    w = helmholtz_solve(g, Field(g, vals))
-    assert np.max(np.abs(w.values - vals / (1.0 + a))) <= 1e-12
+    w = helmholtz_solve(g, vals)
+    assert np.max(np.abs(w - vals / (1.0 + a))) <= 1e-12
     if d == 1:
         analytic = vals / (1.0 + (k * np.pi) ** 2)
-        assert np.max(np.abs(w.values - analytic)) <= 1e-4
+        assert np.max(np.abs(w - analytic)) <= 1e-4
 
 
 def test_helmholtz_self_adjoint_and_contractive():
@@ -61,7 +81,7 @@ def test_helmholtz_self_adjoint_and_contractive():
     for _ in range(20):
         r1 = Field(g, rng.standard_normal(g.shape))
         r2 = Field(g, rng.standard_normal(g.shape))
-        k1, k2 = helmholtz_solve(g, r1), helmholtz_solve(g, r2)
+        k1, k2 = Field(g, helmholtz_solve(g, r1.values)), Field(g, helmholtz_solve(g, r2.values))
         s1, s2 = inner_h(k1, r2), inner_h(r1, k2)
         assert abs(s1 - s2) <= 1e-11 * max(1.0, abs(s1))
         assert norm_h(k1) <= norm_h(r1) + 1e-12
@@ -71,20 +91,20 @@ def test_neumann_poisson_mode_and_edge_cases():
     g = make_grid(1, 128)
     vals = oracles.mode_values(g, 1)
     a = oracles.mode_eigenvalue(g.n, 1)
-    w = neumann_poisson_solve(g, Field(g, vals))
-    assert abs(mean(w)) <= 1e-12
-    assert np.max(np.abs(w.values - vals / a)) <= 1e-10
-    assert np.max(np.abs(w.values - vals / np.pi**2)) <= 1e-4
-    zero = neumann_poisson_solve(g, Field(g, np.zeros(g.shape)))
-    assert np.max(np.abs(zero.values)) == 0.0
+    w = neumann_poisson_solve(g, vals)
+    assert abs(mean(Field(g, w))) <= 1e-12
+    assert np.max(np.abs(w - vals / a)) <= 1e-10
+    assert np.max(np.abs(w - vals / np.pi**2)) <= 1e-4
+    zero = neumann_poisson_solve(g, np.zeros(g.shape))
+    assert np.max(np.abs(zero)) == 0.0
     with pytest.raises(CompatibilityError):
-        neumann_poisson_solve(g, Field(g, np.ones(g.shape)))
+        neumann_poisson_solve(g, np.ones(g.shape))
 
 
 def test_source_potential_weak_form():
     g = make_grid(1, 64)
     gv = np.pi**2 * oracles.mode_values(g, 1)
-    f = source_potential(g, Field(g, gv))
+    f = Field(g, source_potential(g, gv))
     assert np.max(np.abs(f.values - oracles.mode_values(g, 1))) <= 2e-3
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -96,12 +116,12 @@ def test_source_potential_weak_form():
 
 def test_dual_norms():
     g = make_grid(1, 64)
-    one = Field(g, np.ones(g.shape))
+    one = np.ones(g.shape)
     assert vstar_norm(g, one) == pytest.approx(1.0, abs=1e-12)
-    assert vstar_norm(g, Field(g, np.zeros(g.shape))) == 0.0
+    assert vstar_norm(g, np.zeros(g.shape)) == 0.0
     vals = oracles.mode_values(g, 1)
     a = oracles.mode_eigenvalue(g.n, 1)
-    got = vstar_norm(g, Field(g, vals)) ** 2
+    got = vstar_norm(g, vals) ** 2
     assert got == pytest.approx(0.5 / (1.0 + a), abs=1e-12)
     assert got == pytest.approx(0.5 / (1.0 + np.pi**2), abs=1e-3)
     with pytest.raises(CompatibilityError):
@@ -132,8 +152,8 @@ def test_dual_norms_match_solve_oracle(d, n, kind):
     g = make_grid(d, n)
     r = Field(g, _dual_norm_data(g, kind, 7))
     r0 = Field(g, r.values - r.values.mean())
-    assert vstar_norm(g, r) == pytest.approx(oracles.solve_vstar_norm(g, r), rel=1e-13)
-    assert v0star_norm(g, r0) == pytest.approx(oracles.solve_v0star_norm(g, r0), rel=1e-13)
+    assert vstar_norm(g, r.values) == pytest.approx(oracles.solve_vstar_norm(g, r), rel=1e-13)
+    assert v0star_norm(g, r0.values) == pytest.approx(oracles.solve_v0star_norm(g, r0), rel=1e-13)
 
 
 def test_dual_norms_closed_form_on_a_fine_grid():
@@ -143,15 +163,15 @@ def test_dual_norms_closed_form_on_a_fine_grid():
     g = make_grid(1, 2048)
     r = Field(g, oracles.mode_values(g, 1))
     ev = _eigenvalues(1, g.n)[1]
-    assert vstar_norm(g, r) ** 2 == pytest.approx(norm_h(r) ** 2 / (1.0 - ev), rel=1e-13)
-    assert v0star_norm(g, r) ** 2 == pytest.approx(norm_h(r) ** 2 / -ev, rel=1e-13)
+    assert vstar_norm(g, r.values) ** 2 == pytest.approx(norm_h(r) ** 2 / (1.0 - ev), rel=1e-13)
+    assert v0star_norm(g, r.values) ** 2 == pytest.approx(norm_h(r) ** 2 / -ev, rel=1e-13)
 
 
 @pytest.mark.parametrize("solver", ["shifted", "poisson", "step"])
 def test_repeat_solve_builds_no_new_symbol(solver):
     # the inverse symbols come from one cached table, not from each call
     g = make_grid(2, 10)
-    rhs = Field(g, 0.3 * oracles.mode_values(g, 1))
+    rhs = 0.3 * oracles.mode_values(g, 1)
     solve = {
         "shifted": lambda: helmholtz_solve(g, rhs, alpha=0.3),
         "poisson": lambda: neumann_poisson_solve(g, rhs),
@@ -192,10 +212,10 @@ def _params(eps=0.1, lam=0.01, N=50, T=1.0, eta=0.0, c3=0.0):
 def test_step_solve_zero_rhs_gives_zero(family):
     g = make_grid(1, 32)
     params = _params()
-    rhs = Field(g, np.zeros(g.shape))
-    warm = Field(g, 0.3 * np.sin(2 * np.pi * g.axis))
+    rhs = np.zeros(g.shape)
+    warm = 0.3 * np.sin(2 * np.pi * g.axis)
     u, _ = step_solve(g, params, BetaSpec(family), PiSpec("zero"), rhs, warm)
-    assert norm_h(u) <= 1e-10
+    assert norm_h(Field(g, u)) <= 1e-10
 
 
 def test_step_solve_matches_independent_linear_route():
@@ -204,11 +224,9 @@ def test_step_solve_matches_independent_linear_route():
     rng = np.random.default_rng(3)
     rhs_vals = rng.standard_normal(g.shape)
     opts = SolverOptions(newton_tol=1e-13)
-    u, _ = step_solve(
-        g, params, BetaSpec("linear"), PiSpec("zero"), Field(g, rhs_vals), Field(g, np.zeros(g.shape)), opts
-    )
+    u, _ = step_solve(g, params, BetaSpec("linear"), PiSpec("zero"), rhs_vals, np.zeros(g.shape), opts)
     want = oracles.linear_step_solution(g.n, params.lam, params.eps, params.h, rhs_vals)
-    assert np.max(np.abs(u.values - want)) <= 1e-9
+    assert np.max(np.abs(u - want)) <= 1e-9
 
 
 def test_step_solve_matches_dense_power_oracle_2d():
@@ -218,22 +236,20 @@ def test_step_solve_matches_dense_power_oracle_2d():
     rng = np.random.default_rng(11)
     rhs_vals = rng.standard_normal(g.shape)
     opts = SolverOptions(newton_tol=1e-13)
-    u, v = step_solve(
-        g, params, BetaSpec("power", m=3), PiSpec("zero"), Field(g, rhs_vals), Field(g, np.zeros(g.shape)), opts
-    )
+    u, v = step_solve(g, params, BetaSpec("power", m=3), PiSpec("zero"), rhs_vals, np.zeros(g.shape), opts)
     want = oracles.power_step_solution_2d(g.n, params.lam, params.eps, params.h, 3, rhs_vals)
-    assert np.max(np.abs(u.values - want)) <= 1e-9
+    assert np.max(np.abs(u - want)) <= 1e-9
     # v = K u is the transform of the accepted residual, bitwise the shifted solve
-    assert np.array_equal(v.values, helmholtz_solve(g, u, opts).values)
+    assert np.array_equal(v, helmholtz_solve(g, u, opts))
 
 
 def test_step_solve_unconverged_direction_raises(monkeypatch):
     # a Newton direction that misses its CG tolerance is never used
     monkeypatch.setattr(elliptic, "_PCG_RTOL", 0.0)
     g = make_grid(1, 16)
-    rhs = Field(g, np.cos(np.pi * g.axis))
+    rhs = np.cos(np.pi * g.axis)
     with pytest.raises(StepFailure, match="Newton direction CG") as info:
-        step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, Field(g, np.zeros(g.shape)))
+        step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, np.zeros(g.shape))
     assert info.value.residual is not None
 
 
@@ -242,13 +258,11 @@ def test_step_solve_warm_start_independence(family):
     g = make_grid(1, 32)
     params = _params()
     rng = np.random.default_rng(4)
-    rhs = Field(g, 0.5 * rng.standard_normal(g.shape))
+    rhs = 0.5 * rng.standard_normal(g.shape)
     opts = SolverOptions(newton_tol=1e-12)
-    u1, _ = step_solve(g, params, BetaSpec(family), PiSpec("zero"), rhs, Field(g, np.zeros(g.shape)), opts)
-    u2, _ = step_solve(
-        g, params, BetaSpec(family), PiSpec("zero"), rhs, Field(g, 0.4 * np.cos(np.pi * g.axis)), opts
-    )
-    assert norm_h(u1 - u2) <= 1e-9
+    u1, _ = step_solve(g, params, BetaSpec(family), PiSpec("zero"), rhs, np.zeros(g.shape), opts)
+    u2, _ = step_solve(g, params, BetaSpec(family), PiSpec("zero"), rhs, 0.4 * np.cos(np.pi * g.axis), opts)
+    assert norm_h(Field(g, u1 - u2)) <= 1e-9
 
 
 @pytest.mark.parametrize("family", ["logit", "abs_logit"])
@@ -259,18 +273,54 @@ def test_step_solve_reversed_saturated_start(family):
     g = make_grid(1, 32)
     params = _params()
     b = BetaSpec(family)
-    rhs = Field(g, 0.4 * np.cos(np.pi * g.axis))
+    rhs = 0.4 * np.cos(np.pi * g.axis)
     opts = SolverOptions(newton_tol=1e-12)
-    u1, _ = step_solve(g, params, b, PiSpec("zero"), rhs, Field(g, np.zeros(g.shape)), opts)
-    assert np.max(np.abs(u1.values)) > 0.99999
-    u2, _ = step_solve(g, params, b, PiSpec("zero"), rhs, Field(g, -0.99999 * np.sign(u1.values)), opts)
-    assert norm_h(u1 - u2) <= 1e-9
+    u1, _ = step_solve(g, params, b, PiSpec("zero"), rhs, np.zeros(g.shape), opts)
+    assert np.max(np.abs(u1)) > 0.99999
+    u2, _ = step_solve(g, params, b, PiSpec("zero"), rhs, -0.99999 * np.sign(u1), opts)
+    assert norm_h(Field(g, u1 - u2)) <= 1e-9
+
+
+@pytest.mark.parametrize("shift", [1.0, 0.0], ids=["shifted", "poisson"])
+def test_checked_solve_fails_on_a_non_finite_residual(shift):
+    # NaN > limit is False, so a residual check written that way passes NaN
+    g = make_grid(1, 16)
+    b = np.cos(np.pi * g.axis)
+    b[3] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="residual nan exceeds"):
+        elliptic._checked_solve(g, b, shift, 1.0, 1.0, "probe")
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_step_solve_stops_on_a_non_finite_start(monkeypatch, bad):
+    # a non-finite right-hand side fails at once, before any Newton direction
+    g = make_grid(1, 16)
+    rhs = np.cos(np.pi * g.axis)
+    rhs[5] = bad
+    directions = _count_calls(monkeypatch, "_newton_direction")
+    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="non-finite residual"):
+        step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, np.zeros(g.shape))
+    assert directions == []
+
+
+def test_solves_take_arrays_and_reject_other_shapes():
+    # the solver layer works on arrays; a Field or a wrong shape is a grid mismatch
+    g = make_grid(1, 16)
+    rhs = np.cos(np.pi * g.axis)
+    assert type(helmholtz_solve(g, rhs)) is np.ndarray
+    assert not {"Field", "mean", "norm_h"} & set(vars(elliptic))
+    for bad in (Field(g, rhs), rhs[:8], np.outer(rhs, rhs)):
+        for solve in (helmholtz_solve, neumann_poisson_solve, v0star_norm, vstar_norm):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                solve(g, bad)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), bad, rhs)
 
 
 def test_step_solve_rejects_stepsize_violation():
     g = make_grid(1, 32)
     params = SimParams(eps=0.5, lam=0.01, N=10, T=1.0, c3=1.0)
-    rhs = Field(g, np.zeros(g.shape))
+    rhs = np.zeros(g.shape)
     with pytest.raises(ValueError):
         step_solve(g, params, BetaSpec("power"), PiSpec("tanh_decay", c3=1.0), rhs, rhs)
 
@@ -279,10 +329,10 @@ def test_step_solve_failure_carries_history():
     g = make_grid(1, 32)
     params = _params()
     rng = np.random.default_rng(9)
-    rhs = Field(g, rng.standard_normal(g.shape))
+    rhs = rng.standard_normal(g.shape)
     opts = SolverOptions(newton_tol=1e-17, max_newton=50)
     with pytest.raises(StepFailure) as info:
-        step_solve(g, params, BetaSpec("power"), PiSpec("zero"), rhs, Field(g, np.zeros(g.shape)), opts)
+        step_solve(g, params, BetaSpec("power"), PiSpec("zero"), rhs, np.zeros(g.shape), opts)
     assert info.value.residual is not None
     assert len(info.value.history) >= 1
 
@@ -298,7 +348,7 @@ def test_step_operator_coercivity_probe():
     def apply_op(x):
         return (
             lam * x
-            + helmholtz_solve(g, x)
+            + Field(g, helmholtz_solve(g, x.values))
             - eps * h * laplacian_apply(g, x)
             + h * Field(g, beta_eval(b, x.values))
             + h * Field(g, pi_eval(p, eps, x.values))
@@ -342,12 +392,12 @@ def _check_solution(g, b, w, shift, alpha, tol):
 
 def _solve_both_and_check(g, b, alpha):
     opts = SolverOptions()
-    w = helmholtz_solve(g, Field(g, b), opts, alpha=alpha)
-    _check_solution(g, b, w.values, 1.0, alpha, opts.lin_tol * max(1.0, np.linalg.norm(b)))
+    w = helmholtz_solve(g, b, opts, alpha=alpha)
+    _check_solution(g, b, w, 1.0, alpha, opts.lin_tol * max(1.0, np.linalg.norm(b)))
     b0 = b - b.mean()
-    f = neumann_poisson_solve(g, Field(g, b0), opts)
-    _check_solution(g, b0, f.values, 0.0, 1.0, opts.lin_tol * np.linalg.norm(b0))
-    assert abs(mean(f)) <= 1e-14 * max(1.0, np.max(np.abs(f.values)))
+    f = neumann_poisson_solve(g, b0, opts)
+    _check_solution(g, b0, f, 0.0, 1.0, opts.lin_tol * np.linalg.norm(b0))
+    assert abs(mean(Field(g, f))) <= 1e-14 * max(1.0, np.max(np.abs(f)))
 
 
 @settings(max_examples=40)
@@ -424,7 +474,7 @@ def test_dct_apply_1d_result_owns_its_data():
     x = np.random.default_rng(3).standard_normal(g.shape)
     out = _dct_apply(x, 1.0 / (1.0 - _eigenvalues(1, 64)))
     assert out.flags.owndata and out.base is None
-    assert helmholtz_solve(g, Field(g, x)).values.flags.owndata
+    assert helmholtz_solve(g, x).flags.owndata
 
 
 def _count_calls(monkeypatch, name, perturb_first=0.0):
@@ -451,12 +501,12 @@ def test_spectral_solve_applies_once_and_checks_once(monkeypatch, solver):
     b -= b.mean()
     solve = helmholtz_solve if solver == "shifted" else neumann_poisson_solve
     calls = _count_calls(monkeypatch, "_dct_apply")
-    solve(g, Field(g, b))
+    solve(g, b)
     assert len(calls) == 1
     monkeypatch.undo()
     calls = _count_calls(monkeypatch, "_dct_apply", perturb_first=1e-6)
     with pytest.raises(SolverFailure, match="solve residual"):
-        solve(g, Field(g, b))
+        solve(g, b)
     assert len(calls) == 1
 
 

@@ -84,7 +84,7 @@ def test_uniform_steady_state_is_preserved():
     b = BetaSpec("linear")
     u = Field(g, np.full(g.shape, m0))
     mu = Field(g, np.full(g.shape, beta_eval(b, m0)))
-    state = StepState(0, u, mu, helmholtz_solve(g, u))
+    state = StepState(0, u, mu, Field(g, helmholtz_solve(g, u.values)))
     f0 = Field(g, np.zeros(g.shape))
     nxt = step(state, f0, params, b, PiSpec("zero"), TIGHT)
     assert np.max(np.abs(nxt.u.values - m0)) <= 1e-12
@@ -168,8 +168,8 @@ def test_smoothing_preserves_mean_and_state_potentials_consistent():
     traj = run(sc, TIGHT)
     assert mean(traj.states[0].u) == pytest.approx(mean(sc.u0), abs=1e-13)
     for s in traj.states:
-        back = helmholtz_solve(g, s.u, TIGHT)
-        assert np.max(np.abs(back.values - s.v.values)) <= 1e-11
+        back = helmholtz_solve(g, s.u.values, TIGHT)
+        assert np.max(np.abs(back - s.v.values)) <= 1e-11
 
 
 def test_run_failure_attaches_partial_trajectory():
@@ -345,7 +345,7 @@ def _step_inputs(d, n, family):
     u = Field(g, 0.6 * prof)
     mu = Field(g, 0.3 * np.cos(2.0 * np.pi * g.axis) if d == 1 else 0.3 * np.outer(ax, ax))
     f_next = Field(g, 0.2 * np.roll(prof, 1))
-    prev = StepState(0, u, mu, helmholtz_solve(g, u))
+    prev = StepState(0, u, mu, Field(g, helmholtz_solve(g, u.values)))
     return prev, f_next, params, BetaSpec(family, c2=0.0), PiSpec("zero")
 
 
@@ -373,7 +373,7 @@ def test_step_reuses_the_newton_transforms(monkeypatch, start):
         u = prev.u.values.copy()
         u[0, 0] = 1.0 - 1e-14
         u = Field(prev.u.grid, u)
-        prev = StepState(0, u, prev.mu, helmholtz_solve(u.grid, u))
+        prev = StepState(0, u, prev.mu, Field(u.grid, helmholtz_solve(u.grid, u.values)))
     solves = _recording(monkeypatch, chemhill.scheme, "helmholtz_solve")
     newton = _recording(monkeypatch, chemhill.scheme, "step_solve")
     applies = _recording(monkeypatch, chemhill.elliptic, "_dct_apply")
@@ -386,6 +386,23 @@ def test_step_reuses_the_newton_transforms(monkeypatch, start):
     assert in_step == 3 + len(applies) - (1 if start == "logit-clipped" else 2)
 
 
+@pytest.mark.parametrize("family", ["logit", "power"])
+def test_step_builds_only_the_new_states_fields(monkeypatch, family):
+    # the solvers work on arrays: a step builds the transport term's Field and
+    # the new state's u, mu and v, each with its non-finite check
+    prev, f_next, params, b, p = _step_inputs(2, 8, family)
+    built = []
+    real = Field.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counted)
+    step(prev, f_next, params, b, p)
+    assert len(built) == 4
+
+
 @pytest.mark.parametrize("opts", [None, TIGHT], ids=["default", "polish"])
 @pytest.mark.parametrize("family", ["logit", "power"])
 @pytest.mark.parametrize("d,n", [(1, 48), (2, 12)])
@@ -394,7 +411,7 @@ def test_step_potential_is_bitwise_the_shifted_solve(d, n, family, opts):
     prev, f_next, params, b, p = _step_inputs(d, n, family)
     for _ in range(2):
         prev = step(prev, f_next, params, b, p, opts)
-        assert np.array_equal(prev.v.values, helmholtz_solve(prev.u.grid, prev.u).values)
+        assert np.array_equal(prev.v.values, helmholtz_solve(prev.u.grid, prev.u.values))
 
 
 @pytest.mark.parametrize("family", ["logit", "power"])
