@@ -46,7 +46,7 @@ import numpy as np
 from .diagnostics import LEDGER_COLUMNS, append_ledger_csv, build_ledger, identity_report
 from .elliptic import SolverFailure, SolverOptions
 from .grid import Field, load_field_csv, make_grid
-from .limits import STUDY_COLUMNS, save_study_csv, study, study_rows, summarize
+from .limits import STUDY_COLUMNS, check_levels, save_study_csv, study, study_rows, summarize
 from .nonlinearity import BetaSpec, PiSpec, validate_assumptions
 from .scheme import Scenario, SimParams, average_sources, run, save_trajectory_csv
 
@@ -426,10 +426,15 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs):
     else:
         levels = list(cfg.epsilon_levels or (cfg.eps, cfg.eps / 2, cfg.eps / 4))
     try:
-        report = study(axis, scenario, levels, opts=opts, jobs=jobs)
+        check_levels(axis, scenario, levels)
     except ValueError as exc:
         print(f"config error: study-{axis} levels: {exc}", file=sys.stderr)
         return 2
+    try:
+        report = study(axis, scenario, levels, opts=opts, jobs=jobs)
+    except ValueError as exc:  # raised after the levels ran: a run failure
+        print(f"study-{axis} failed: {exc}")
+        return 1
     for row in study_rows(report):
         bad = _nonfinite(STUDY_COLUMNS, row)
         if bad:

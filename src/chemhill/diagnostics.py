@@ -146,7 +146,8 @@ def build_ledger(traj, b):
         led.q9 += h * sq_dual(du, 1.0)
 
         led.q3 = max(led.q3, float(np.max(u1_v)))
-        led.q5 = max(led.q5, float(np.max(g.cell_volume * np.sum(u1**4, axis=spatial))))
+        # squared twice, not u1**4: a power of a negative base goes through libm pow
+        led.q5 = max(led.q5, float(np.max(g.cell_volume * np.sum(np.square(np.square(u1)), axis=spatial))))
         led.q6 = max(led.q6, float(np.max(_sq_h(g, m1))))
         led.q8 += h * float(np.sum(m1_semi))
         led.q10 += h * float(np.sum(_sq_h(g, _laplacian(u1, g.dx, g.d)) + u1_v))

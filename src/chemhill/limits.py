@@ -28,7 +28,9 @@ from .diagnostics import LEDGER_COLUMNS, _blocks, build_ledger
 from .elliptic import SolverFailure, SolverOptions, dual_coefficients
 from .scheme import run
 
-__all__ = ["StudyReport", "STUDY_COLUMNS", "study", "estimate_order", "study_rows", "save_study_csv", "summarize"]
+__all__ = [
+    "StudyReport", "STUDY_COLUMNS", "check_levels", "study", "estimate_order", "study_rows", "save_study_csv", "summarize"
+]
 
 AXES = ("h", "lambda", "epsilon")
 
@@ -120,6 +122,24 @@ def _uhat_diff_norms(traj_a, traj_b):
     return float(np.sqrt(g.cell_volume * linf_sq)), float(np.sqrt(max(l2v, 0.0)))
 
 
+def check_levels(axis, base_scenario, levels):
+    """The level scenarios of a study and their parameter values, strictly decreasing.
+
+    Raises ValueError for an unknown axis, a level that breaks the
+    stepsize condition, or levels out of order: all of them follow from
+    the configuration alone, before any level runs.
+    """
+    if axis not in AXES:
+        raise ValueError(f"unknown study axis {axis!r}")
+    scenarios = [_level_scenario(axis, base_scenario, lv) for lv in levels]
+    for sc in scenarios:
+        sc.params.validate()
+    values = [_level_value(axis, sc) for sc in scenarios]
+    if any(v1 >= v0 for v0, v1 in zip(values, values[1:])):
+        raise ValueError(f"levels must strictly decrease along the {axis} axis, got {values}")
+    return scenarios, values
+
+
 def study(axis, base_scenario, levels, opts=None, jobs=1):
     """Run one trajectory per level and tabulate consecutive differences.
 
@@ -137,23 +157,15 @@ def study(axis, base_scenario, levels, opts=None, jobs=1):
         At least 1. Level runs fan out over a pool of min(jobs, level
         count) processes when that is more than one.
 
-    Orders are suppressed below the noise floor 10 * newton_tol. An unknown
-    axis, ``jobs`` below 1, a level that breaks the stepsize condition or
-    levels out of order raise ValueError before any level runs. A level
-    whose run fails marks the report failed and truncates the tables after
-    the last successful level.
+    Orders are suppressed below the noise floor 10 * newton_tol. ``jobs``
+    below 1 and the rejections of :func:`check_levels` raise ValueError
+    before any level runs. A level whose run fails marks the report failed
+    and truncates the tables after the last successful level.
     """
-    if axis not in AXES:
-        raise ValueError(f"unknown study axis {axis!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    scenarios, values = check_levels(axis, base_scenario, levels)
     opts = opts or SolverOptions()
-    scenarios = [_level_scenario(axis, base_scenario, lv) for lv in levels]
-    for sc in scenarios:
-        sc.params.validate()
-    values = [_level_value(axis, sc) for sc in scenarios]
-    if any(v1 >= v0 for v0, v1 in zip(values, values[1:])):
-        raise ValueError(f"levels must strictly decrease along the {axis} axis, got {values}")
 
     report = StudyReport(axis=axis, levels=values)
     trajectories = []

@@ -404,7 +404,7 @@ def validate_assumptions(b, p, u0, g_probes=(), n_scan=10000):
     )
 
     # A2: quartic lower bound of the primitive
-    slack = bh - (b.c1 * r**4 - b.c2)
+    slack = bh - (b.c1 * np.square(np.square(r)) - b.c2)  # not r**4, which takes libm pow for r < 0
     i = int(np.argmin(slack))
     checks.append(
         AssumptionCheck(

@@ -28,7 +28,8 @@ A step works on its states' arrays, as ``elliptic``'s solvers do, and
 builds a ``Field`` (the state type, which rejects non-finite entries)
 only for the transport term and the new state's u, mu and v.
 
-Besides the marching loop this module holds the trajectory CSV format.
+Besides the marching loop this module holds the trajectory CSV format and
+the vectorized '%.17g' formatter that writes it.
 """
 
 import csv
@@ -239,15 +240,19 @@ def run(scenario, opts=None):
 
 
 # Least number of values (snapshots x nodes x 3) that each chunk of a forked
-# trajectory CSV must hold. Sweep on a 2-vCPU VM, two chunks, the writer timed
-# inside `chemhill simulate` processes (2D, 7 alternating runs, serial vs fork
-# medians): 10,368 values per chunk 22.7 vs 27.7 ms, 12,288 27.7 vs 26.2,
-# 17,280 35.7 vs 37.7, 30,720 65.0 vs 55.5 (fork faster 7/7), 31,104 64.1 vs
-# 48.1 (7/7), 55,296 112 vs 80. In one process, without a CLI run before it,
-# the fork already won from 13,824 values per chunk (30.4 vs 24.9 ms) and lost
-# at 6,912 (15.2 vs 16.0). So a chunk below about 2e4 values saves less than
-# its fork costs, and the threshold is the next power of two past that.
+# trajectory CSV must hold. Sweep on a 2-vCPU VM (NumPy 2.4.6), two chunks,
+# the vectorized writer timed in a process holding the 2D n=48 trajectory of
+# 49 levels, 9 alternating runs, serial vs fork medians, by the smaller
+# chunk: 6,912 values 9.9 vs 16.0 ms, 13,824 14.6 vs 17.7 (fork slower 9/9),
+# 20,736 20.4 vs 20.7 (faster 5/9), 27,648 28.5 vs 23.6 (6/9), 41,472 40.9
+# vs 31.0 (8/9). So a chunk below about 2e4 values saves less than its fork
+# costs, and the threshold stays the next power of two past that.
 _FORK_MIN_VALUES = 1 << 15
+
+# Values formatted per block of the CSV writer, so a block's temporaries
+# stay around 2 MB. Serial writes of the 2D n=48 CSV (2-vCPU VM, medians of
+# 6): 1,536 values per block 108 ms, 3,072 97, 4,096 91, 6,912 88, 9,216 93.
+_CSV_BLOCK_VALUES = 4096
 
 
 def save_trajectory_csv(traj, path, stride=1):
@@ -257,40 +262,40 @@ def save_trajectory_csv(traj, path, stride=1):
     ``.17g`` (exact float64 round trip) and lines end in CRLF, as a
     ``csv.writer`` in its default dialect writes them.
 
-    Correctly rounded 17-digit formatting costs about 0.6 us per value by
-    every serial route, so a large trajectory is formatted on every CPU
-    the process may run on: the kept snapshots split into contiguous
-    chunks, at most one per CPU, each of at least ``_FORK_MIN_VALUES``
-    values. The first chunk is written here; each other one by a forked
-    child into a file that was unlinked before the fork, appended in
-    order once every child has exited. The bytes are those of the serial
-    write. Without ``os.fork`` or ``os.sched_getaffinity``, with one CPU,
-    or below the threshold the write stays serial. A child that fails
-    raises OSError here, after every child is reaped.
+    The values are formatted in blocks by ``_format_g17``, the bytes of
+    ``'%.17g'`` vectorized: a serial write of the 9.7 MB 2D n=48 CSV of
+    49 levels took 134 ms against 306 ms with one CPython ``'%.17g'`` per
+    value (medians of 16, 2-vCPU VM, NumPy 2.4.6). A large trajectory is
+    also written on every CPU the process may run on: the kept snapshots
+    split into contiguous chunks, at most one per CPU, each of at least
+    ``_FORK_MIN_VALUES`` values. The first chunk is written here; each
+    other one by a forked child into a file that was unlinked before the
+    fork, appended in order once every child has exited. The bytes are
+    those of the serial write. Without ``os.fork`` or
+    ``os.sched_getaffinity``, with one CPU, or below the threshold the
+    write stays serial. A child that fails raises OSError here, after
+    every child is reaped.
     """
     kept = [s for s in traj.states if s.n % stride == 0 or s.n == traj.params.N]
-    count = traj.grid.node_count
-    # one row line per node, so each snapshot is a single % over 4*count values
-    template = "".join(f"%s,{j},%.17g,%.17g,%.17g\r\n" for j in range(count))
-    bounds = _chunk_bounds(len(kept), 3 * count)
+    nodes = _node_column(traj.grid.node_count)
+    bounds = _chunk_bounds(len(kept), 3 * traj.grid.node_count)
     chunks = [kept[a:z] for a, z in zip(bounds, bounds[1:])]
-    with open(path, "w", newline="") as fh:
-        fh.write("time,node,u,mu,v\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"time,node,u,mu,v\r\n")
         parts = []  # (pid, fd) of each child, in chunk order
         try:
             try:
                 for i, chunk in enumerate(chunks[1:], start=1):
-                    parts.append(_fork_writer(f"{path}.{os.getpid()}.part{i}", chunk, template, traj.params.h))
-                _write_snapshots(fh, chunks[0], template, traj.params.h)
+                    parts.append(_fork_writer(f"{path}.{os.getpid()}.part{i}", chunk, nodes, traj.params.h))
+                _write_snapshots(fh, chunks[0], nodes, traj.params.h)
             finally:
                 codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in parts]
             if any(codes):
                 raise OSError(f"trajectory CSV writer children exited with status {codes}")
-            fh.flush()
             for _, fd in parts:
                 os.lseek(fd, 0, os.SEEK_SET)
                 while block := os.read(fd, 1 << 20):
-                    fh.buffer.write(block)
+                    fh.write(block)
         finally:
             for _, fd in parts:
                 os.close(fd)
@@ -306,16 +311,36 @@ def _chunk_bounds(snapshots, values_each):
     return [snapshots * i // parts for i in range(parts + 1)]
 
 
-def _write_snapshots(fh, states, template, h):
+def _node_column(count):
+    # "j," for every node j, as NUL-padded byte rows and the mask of their bytes
+    chars = np.array([b"%d," % j for j in range(count)]).view(np.uint8).reshape(count, -1)
+    return chars, chars != 0
+
+
+def _write_snapshots(fh, states, nodes, h):
+    # a block of rows is one byte matrix: the time, the node column, then the
+    # u, mu and v slots of _format_g17 with the separators in their spare
+    # columns; its kept bytes, in row order, are the block's CSV lines
+    node_chars, node_keep = nodes
+    rows = _CSV_BLOCK_VALUES // 3
     for s in states:
-        args = [f"{s.n * h:.17g}"] * (4 * s.u.values.size)
-        args[1::4] = s.u.values.ravel().tolist()
-        args[2::4] = s.mu.values.ravel().tolist()
-        args[3::4] = s.v.values.ravel().tolist()
-        fh.write(template % tuple(args))
+        time = np.frombuffer(f"{s.n * h:.17g},".encode(), np.uint8)
+        values = np.stack([s.u.values.ravel(), s.mu.values.ravel(), s.v.values.ravel()], axis=1)
+        for a in range(0, len(values), rows):
+            chars, keep = _format_g17(values[a : a + rows])
+            chars[..., -1] = ord(",")
+            chars[:, 2, -2] = ord("\r")
+            chars[:, 2, -1] = ord("\n")
+            keep[..., -1] = True
+            keep[:, 2, -2] = True
+            n = len(chars)
+            lead = np.broadcast_to(time, (n, time.size))
+            line = np.concatenate([lead, node_chars[a : a + n], chars.reshape(n, -1)], 1)
+            mask = np.concatenate([np.ones(lead.shape, bool), node_keep[a : a + n], keep.reshape(n, -1)], 1)
+            fh.write(line[mask])
 
 
-def _fork_writer(name, states, template, h):
+def _fork_writer(name, states, nodes, h):
     # opens and unlinks ``name`` (so no part file outlives the process), then
     # forks a child that writes the states into it; returns (pid, fd). The
     # child only formats and writes, and ends in os._exit on every path, so it
@@ -330,14 +355,183 @@ def _fork_writer(name, states, template, h):
     if pid == 0:
         status = 1
         try:
-            with open(fd, "w", newline="", closefd=False) as part:
-                _write_snapshots(part, states, template, h)
+            with open(fd, "wb", closefd=False) as part:
+                _write_snapshots(part, states, nodes, h)
             status = 0
         except BaseException:
             sys.excepthook(*sys.exc_info())
         finally:
             os._exit(status)
     return pid, fd
+
+
+# The '%.17g' formatter. The 17 significant digits of a double a are the
+# integer nearest a * 10**s with s = 16 - floor(log10 a). Dekker's
+# error-free product (Numer. Math. 18, 1971) of a with the double-double
+# 10**s gives that product to about 2**-104 relative error, a few 1e-15
+# in units of the last digit, so the rounding is certain unless the
+# fraction lies within 1e-6 of one half. An entry that has no such
+# certificate is formatted by CPython (dtoa, correctly rounded), so every
+# byte is exactly '%.17g'.
+
+_G17_POW10 = {}  # s -> (hi, hi's upper and lower halves, lo) with hi + lo = 10**s
+_G17_TABLES = {}  # byte tables of the layout, built on the first format
+_G17_SLOT = 32  # bytes per formatted value; the last three are never kept
+
+
+def _g17_pow10(s):
+    # int / int true division and int -> float are correctly rounded, so hi
+    # is 10**s rounded and lo the rounded remainder, exact to ~2**-106
+    entry = _G17_POW10.get(s)
+    if entry is None:
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        c = 134217729.0 * hi  # Veltkamp split at 2**27 + 1
+        upper = c - (c - hi)
+        entry = _G17_POW10[s] = (hi, upper, hi - upper, (num * q - p * den) / (den * q))
+    return entry
+
+
+def _g17_scaled(a, s):
+    # a * 10**s as the unevaluated sum y + ylo, with |ylo| <= ulp(y) / 2
+    first = int(s.min())
+    table = np.array([_g17_pow10(k) for k in range(first, int(s.max()) + 1)]).T.copy()
+    i = s - first
+    hi, upper, lower, lo = (row.take(i) for row in table)
+    c = 134217729.0 * a
+    a_upper = c - (c - a)
+    a_lower = a - a_upper
+    p = a * hi
+    t = (((a_upper * upper - p) + a_upper * lower + a_lower * upper) + a_lower * lower) + a * lo
+    y = p + t
+    return y, t - (y - p)
+
+
+def _g17_digits(x):
+    """The correctly rounded 17 significant digits of every entry of ``x``.
+
+    Returns ``(d, e, certified)``: the digits as an int64 in [1e16, 1e17),
+    the decimal exponent e with |x| ~ d * 10**(e - 16), and the entries
+    whose digits are certain. Zeros are certified with d = 0
+    and e = 0. Not certified: |x| outside [1e-250, 1e250] (and non-finite
+    entries), a product a * 10**s still outside [1e16, 1e17) after one
+    correction of s, and a fraction within 1e-6 of one half.
+    """
+    a = np.abs(x)
+    certified = (a >= 1e-250) & (a <= 1e250)
+    a = np.where(certified, a, 1.0)
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+    y, ylo = _g17_scaled(a, s)
+    # floor(log10 a) may be one off near a power of ten. A product within
+    # 1e-6 of [1e16, 1e17) rounds to the edge under either s (1e17 carries
+    # to 1e16 one exponent up), so only one farther out is scaled again;
+    # y is an integer and |ylo| <= ulp(y) / 2, so these signs are exact
+    low = (y - 1e16) + ylo < -1e-6
+    high = (y - 1e17) + ylo >= 1e-6
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        s[fix] += np.where(low[fix], 1, -1)
+        yf, lf = _g17_scaled(a[fix], s[fix])
+        y[fix], ylo[fix] = yf, lf
+        certified[fix] &= ((yf - 1e16) + lf >= -1e-6) & ((yf - 1e17) + lf < 1e-6)
+    whole = np.floor(ylo)
+    frac = ylo - whole
+    certified &= np.abs(frac - 0.5) > 1e-6
+    d = y.astype(np.int64) + (whole + (frac > 0.5)).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e = 16 - s + carry
+    zero = x == 0
+    d[zero] = 0
+    e[zero] = 0
+    return d, e, certified | zero
+
+
+def _g17_tables():
+    if not _G17_TABLES:
+        t = _G17_TABLES
+        q = np.arange(10000)
+        quads = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8) + ord("0")
+        t["quads"] = quads.view(np.uint32).ravel()  # the four digits of q as one word
+        zeros = np.full(10000, 4, np.int8)  # trailing zeros of q as four digits
+        for k in (3, 2, 1, 0):
+            zeros[(q % 10**k == 0) & (q % 10 ** (k + 1) != 0)] = k
+        t["zeros"] = zeros
+        # layout class of the exponent e: e for 0 <= e <= 16, 16 - e for
+        # -4 <= e <= -1 (17..20), else exponent notation with two (21) or three
+        # (22) exponent digits; the class and the digit count pick the layout
+        e = np.arange(-400, 401)
+        cls = np.where(e >= 0, e, 16 - e)
+        t["class"] = np.where((e >= -4) & (e <= 16), cls, np.where(np.abs(e) < 100, 21, 22))
+        cls, digits = np.divmod(np.arange(23 * 17), 17)
+        cls, digits = cls[:, None], digits[:, None] + 1
+        # the slot: '-', "0.000", the 18-column digit area, 'e', sign, exponent
+        point = np.where(cls <= 16, cls + 1, np.where(cls <= 20, digits, 1))  # '.' column in the area
+        last = np.where(digits > point, digits, point - 1)  # last kept area column
+        lead = np.where((cls >= 17) & (cls <= 20), cls - 15, 0)  # kept chars of "0.000"
+        col = np.arange(_G17_SLOT)
+        area = col - 6
+        inside = (area >= 0) & (area < 18)
+        base = np.frombuffer(b"-0.000" + b"\0" * 18 + b"e" + b"\0" * 7, np.uint8)
+        t["base"] = np.where(inside & (area == point), np.uint8(ord(".")), base)
+        t["left"] = (inside & (area < point)).astype(np.uint8)
+        t["right"] = (inside & (area > point)).astype(np.uint8)
+        keep = ((col >= 1) & (col <= lead)) | ((area >= 0) & (area <= last))
+        keep |= (cls >= 21) & (col >= 24) & (col <= 28) & ((col != 26) | (cls == 22))
+        t["keep"] = np.concatenate([keep, keep | (col == 0)])  # unsigned, then signed
+    return _G17_TABLES
+
+
+def _format_g17(x):
+    """The bytes of ``'%.17g' % v`` for every entry v of the float64 array ``x``.
+
+    Returns ``(chars, keep)`` of shape ``x.shape + (_G17_SLOT,)``: the
+    kept bytes of an entry's slot, in order, are its text. The last three
+    columns of a slot are never kept, so a caller may write separators
+    there. Certified entries (``_g17_digits``) are laid out from byte
+    tables, the rest formatted by CPython.
+    """
+    t = _g17_tables()
+    shape = x.shape
+    x = x.ravel()
+    d, e, certified = _g17_digits(x)
+    # d as 1 + 4 x 4 digits, the digit words at byte 7 (d0) to 23 of a slot
+    q = d // 100_000_000
+    r = d - q * 100_000_000
+    q4 = q // 10_000
+    groups = np.zeros((x.size, 8), np.intp)
+    g = groups[:, 1:6]
+    g[:, 0] = q4 // 10_000
+    g[:, 1] = q4 - g[:, 0] * 10_000
+    g[:, 2] = q - q4 * 10_000
+    g[:, 3] = r // 10_000
+    g[:, 4] = r - g[:, 3] * 10_000
+    right = t["quads"].take(groups).view(np.uint8)  # digit j at slot column 7 + j
+    words = right.view(np.uint64).ravel()
+    left = words >> np.uint64(8)  # digit j at column 6 + j; a row's last byte is never used
+    left[:-1] |= words[1:] << np.uint64(56)
+    left = left.view(np.uint8).reshape(right.shape)
+    zeros = t["zeros"]
+    z4, z3, z2 = g[:, 4] == 0, g[:, 3] == 0, g[:, 2] == 0
+    trailing = zeros.take(g[:, 4]) + z4 * (zeros.take(g[:, 3]) + z3 * (zeros.take(g[:, 2]) + z2 * zeros.take(g[:, 1])))
+    layout = t["class"].take(e + 400) * 17 + (16 - trailing)
+    chars = t["base"].take(layout, axis=0)
+    chars += left * t["left"].take(layout, axis=0)
+    chars += right * t["right"].take(layout, axis=0)
+    keep = t["keep"].take(layout + np.signbit(x) * (23 * 17), axis=0)
+    sci = np.flatnonzero((e < -4) | (e > 16))
+    if sci.size:
+        es = e[sci]
+        chars[sci, 25] = np.where(es < 0, ord("-"), ord("+"))
+        for col, digit in ((26, np.abs(es) // 100), (27, np.abs(es) // 10 % 10), (28, np.abs(es) % 10)):
+            chars[sci, col] = ord("0") + digit
+    fallback = np.flatnonzero(~certified)
+    if fallback.size:
+        texts = np.array([b"%.17g" % v for v in x[fallback].tolist()], dtype=f"S{_G17_SLOT}")  # NUL-padded
+        chars[fallback] = texts.view(np.uint8).reshape(fallback.size, _G17_SLOT)
+        keep[fallback] = chars[fallback] != 0
+    return chars.reshape(shape + (_G17_SLOT,)), keep.reshape(shape + (_G17_SLOT,))
 
 
 def load_trajectory_csv(path, grid, params):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemhill.limits
 import chemhill.scheme
 from chemhill.cli import ConfigError, ScenarioConfig, build_scenario, dispatch, main, parse_config
 from chemhill.elliptic import SolverFailure
@@ -493,6 +494,21 @@ def test_main_study_levels_rejected_before_any_run_exit_two(tmp_path, capsys, co
     assert captured.out == ""
 
 
+def test_main_study_value_error_after_the_levels_ran_exit_one(tmp_path, capsys, monkeypatch):
+    # the levels passed their checks and ran; a ValueError from the ledger is
+    # a run failure, not a config error
+    def failing_ledger(traj, b):
+        raise ValueError("ledger broke")
+
+    monkeypatch.setattr(chemhill.limits, "build_ledger", failing_ledger)
+    conf = tmp_path / "study.ini"
+    conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
+    assert main(["study-h", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "config error" not in captured.err
+    assert "study-h failed: ledger broke" in captured.out
+
+
 def _fail_shifted_solves_after(monkeypatch, n_ok):
     real = chemhill.scheme.helmholtz_solve
     calls = []
@@ -547,7 +563,9 @@ def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     # the CLI uses no SciPy at all: not on import, not in a 2D simulate, a 1D
     # study or a validation; only reading elliptic.sla loads scipy.sparse.
     # Nor does it load numpy.random, numpy.ma or the hashlib numpy.random
-    # pulls in, unless one was loaded before chemhill.cli was imported
+    # pulls in, or fractions and decimal, unless one was loaded before
+    # chemhill.cli was imported. The CSV formatter's powers of ten are built
+    # on first use, so the import leaves its cache empty
     conf_2d = tmp_path / "sim.ini"
     conf_2d.write_text(RUNNABLE.replace("d = 1\nn = 48", "d = 2\nn = 12"))
     conf_1d = tmp_path / "study.ini"
@@ -559,9 +577,10 @@ def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
         "def check(stage):\n"
         "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "    assert not loaded, (stage, loaded[:5])\n"
-        "    extra = [m for m in ('numpy.random', 'numpy.ma', 'hashlib') if m in sys.modules and m not in before]\n"
+        "    extra = [m for m in ('numpy.random', 'numpy.ma', 'hashlib', 'fractions', 'decimal') if m in sys.modules and m not in before]\n"
         "    assert not extra, (stage, extra)\n"
         "check('import')\n"
+        "assert chemhill.scheme._G17_POW10 == {}\n"
         f"assert chemhill.cli.main(['simulate', '--config', {str(conf_2d)!r}, '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
         "check('simulate')\n"
         f"assert chemhill.cli.main(['study-h', '--config', {str(conf_1d)!r}, '--out', {str(tmp_path / 'study')!r}]) == 0\n"

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import chemhill.elliptic
 import chemhill.scheme
@@ -307,19 +310,81 @@ def test_forked_trajectory_writer_failure_leaves_no_child_or_part(tmp_path, monk
     # no part file left, only the partial trajectory.csv
     _forced_fork(monkeypatch)
     parent = os.getpid()
-    real = chemhill.scheme._write_snapshots
+    real = chemhill.scheme._format_g17
 
-    def failing_in_children(fh, states, *args):
+    def failing_in_children(x):
         if os.getpid() != parent:
             raise RuntimeError("formatting failed")
-        return real(fh, states, *args)
+        return real(x)
 
-    monkeypatch.setattr(chemhill.scheme, "_write_snapshots", failing_in_children)
+    monkeypatch.setattr(chemhill.scheme, "_format_g17", failing_in_children)
     with pytest.raises(OSError, match="exited with status"):
         save_trajectory_csv(_random_trajectory(2, 4, 5), tmp_path / "trajectory.csv")
     assert os.listdir(tmp_path) == ["trajectory.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _g17_texts(x):
+    chars, keep = chemhill.scheme._format_g17(x)
+    return [c[k].tobytes() for c, k in zip(chars, keep)]
+
+
+def _percent_g17(x):
+    return [("%.17g" % v).encode() for v in x.tolist()]
+
+
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+_BIG = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize(
+    "values, certified",
+    [
+        pytest.param([0.0, -0.0], True, id="zeros-inline"),
+        pytest.param([5e-324, -5e-324, 2.2250738585072014e-308], False, id="subnormal-and-tiny"),
+        pytest.param([_BIG, -_BIG], False, id="largest-double"),
+        pytest.param([1e-250, -1e-250, 1e250, -1e250], True, id="range-edges-inside"),
+        pytest.param(
+            [np.nextafter(1e-250, 0.0), -np.nextafter(1e-250, 0.0), np.nextafter(1e250, np.inf)], False, id="range-edges-outside"
+        ),
+        # doubles just below 10**k whose 17 digits round up to 10**17 and
+        # carry, so they print as '1e-243'
+        pytest.param([1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e220, -1e153], True, id="carry-to-1e17"),
+        # 1 + 2**-17 = 1.00000762939453125: the 18th digit is an exact tie
+        pytest.param([1 + 2**-17, 9 + 2**-17, 3 + 5 * 2**-17, -(0.5 + 2**-18)], False, id="exact-binary-ties"),
+        pytest.param(
+            np.concatenate([_POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, 0.0), np.nextafter(_POWERS_OF_TEN, np.inf)]),
+            None,
+            id="powers-of-ten-and-neighbours",
+        ),
+        pytest.param(
+            [1e16, 1e17, 99999999999999984.0, 12345678901234568.0, 0.0001, 0.00012345, 9.9999e-5], True, id="layout-switches"
+        ),
+        pytest.param([float(f"1e{k}") for k in range(23)], True, id="exact-powers-of-ten"),
+    ],
+)
+def test_g17_formatter_edge_cases_match_percent_g(values, certified):
+    # the bytes are '%.17g' whatever formats them; where the certificate
+    # fails (out of [1e-250, 1e250], a tie) CPython's own formatting is used
+    x = np.array(values, dtype=np.float64)
+    assert _g17_texts(x) == _percent_g17(x)
+    got = chemhill.scheme._g17_digits(x)[2]
+    if certified is None:  # out of range falls back; inside, a neighbour may be a tie
+        assert not got[(np.abs(x) < 1e-250) | (np.abs(x) > 1e250)].any()
+    else:
+        assert (got == certified).all()
+
+
+@settings(max_examples=120)
+@given(
+    bits=hnp.arrays(np.uint64, st.integers(1, 400), elements=st.integers(0, 2**64 - 1)),
+    floats=hnp.arrays(np.float64, st.integers(0, 100), elements=st.floats(allow_nan=False, allow_infinity=False)),
+)
+def test_g17_formatter_matches_percent_g_on_any_finite_double(bits, floats):
+    x = np.concatenate([bits.view(np.float64), floats])
+    x = x[np.isfinite(x)]
+    assert _g17_texts(x) == _percent_g17(x)
 
 
 def test_two_dimensional_run_conserves_mass():
