@@ -22,7 +22,6 @@ from .elliptic import (
     StepFailure,
     helmholtz_solve,
     neumann_poisson_solve,
-    source_potential,
     step_solve,
     v0star_norm,
     vstar_norm,
@@ -57,7 +56,6 @@ from .nonlinearity import (
 from .scheme import (
     Scenario,
     SimParams,
-    StepState,
     Trajectory,
     average_sources,
     run,

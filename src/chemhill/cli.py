@@ -45,7 +45,7 @@ import numpy as np
 
 from .diagnostics import LEDGER_COLUMNS, append_ledger_csv, build_ledger, identity_report
 from .elliptic import SolverFailure, SolverOptions
-from .grid import Field, load_field_csv, make_grid
+from .grid import Field, _read_node_csv, load_field_csv, make_grid
 from .limits import STUDY_COLUMNS, check_levels, save_study_csv, study, study_rows, summarize
 from .nonlinearity import BetaSpec, PiSpec, validate_assumptions
 from .scheme import Scenario, SimParams, average_sources, run, save_trajectory_csv
@@ -276,50 +276,31 @@ class CosineSource:
 class CsvSeriesSource:
     """Piecewise-constant-in-time series from rows t,node,value (sorted blocks).
 
-    Node indices are C-order flat indices into a grid of ``node_count``
-    nodes; an index outside ``[0, node_count)`` is rejected, never wrapped.
-    A non-finite time or value and a second row for one (t, node) pair are
-    rejected too, with their line number.
+    The rows are read by ``grid._read_node_csv``: node indices are C-order
+    flat indices into a grid of ``node_count`` nodes, and an index outside
+    ``[0, node_count)`` is rejected, never wrapped. A malformed row, a
+    non-finite time or value and a second row for one (t, node) pair are
+    rejected too, with their line number. A node without a row at some
+    time is zero there.
     """
 
     def __init__(self, path, node_count, role="g"):
         self.kind = role
         self.path = path
-        blocks = {}
-        with open(path, newline="") as fh:
-            header = fh.readline().strip().split(",")
-            if header != ["t", "node", "value"]:
-                raise ValueError(f"csv-series must have header t,node,value, got {header}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                t, node, value = line.strip().split(",")
-                t, node, value = float(t), int(node), float(value)
-                if not 0 <= node < node_count:
-                    raise ValueError(
-                        f"csv-series line {lineno}: node {node} outside 0..{node_count - 1}"
-                    )
-                if not (math.isfinite(t) and math.isfinite(value)):
-                    raise ValueError(f"csv-series line {lineno}: non-finite entry t={t}, value={value}")
-                block = blocks.setdefault(t, {})
-                if node in block:
-                    raise ValueError(f"csv-series line {lineno}: second row for t={t}, node {node}")
-                block[node] = value
-        if not blocks:
+        rows = _read_node_csv(path, "csv-series", ["t", "node", "value"], node_count)
+        if not rows:
             raise ValueError("csv-series file holds no rows")
-        self.times = sorted(blocks)
-        self.blocks = [blocks[t] for t in self.times]
+        self.times = sorted(rows)
+        self.blocks = [np.zeros(node_count) for _ in self.times]
+        for vals, t in zip(self.blocks, self.times):
+            for node, (value,) in rows[t].items():
+                vals[node] = value
 
     def __call__(self, t, grid):
         if t < self.times[0] - 1e-12:
             raise ValueError(f"series starts at t={self.times[0]}, asked for {t}")
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = max(idx, 0)
-        block = self.blocks[idx]
-        vals = np.zeros(grid.node_count)
-        for node, value in block.items():
-            vals[node] = value
-        return Field(grid, vals)
+        return Field(grid, self.blocks[max(idx, 0)])
 
 
 def build_initial(cfg, grid):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nonlinearity as nl
 from .elliptic import dual_coefficients, helmholtz_solve
-from .grid import Field, _face_diff_sq, _laplacian, inner_h, laplacian_apply, mean, norm_h
+from .grid import Field, _face_diff_sq, _laplacian, inner_h, laplacian_apply, norm_h
 
 __all__ = [
     "DiagnosticsLedger",
@@ -76,10 +76,12 @@ class DiagnosticsLedger:
         return [self.eps, self.lam, self.h, self.beta_family, self.eta] + self.qvalues()
 
 
-# values per stacked array when a trajectory is walked in blocks: 8 steps per
-# block in 1D at n=256, one in 2D from n=46. Peak RSS of the 1D n=256 study
-# (median of 7 CLI runs, 2-vCPU VM) was 39.9 MB at 1024 values, 40.0 at 2048,
-# 40.2 at 4096, 40.6 at 8192 and 42.3 with each trajectory stacked whole
+# values per block of levels when a trajectory is walked in blocks: 8 steps
+# per block in 1D at n=256, one in 2D from n=46. A block is a view of the
+# trajectory's arrays, so the size bounds the reductions' temporaries. When
+# blocks were stacked copies, peak RSS of the 1D n=256 study (median of 7
+# CLI runs, 2-vCPU VM) was 39.9 MB at 1024 values, 40.0 at 2048, 40.2 at
+# 4096, 40.6 at 8192 and 42.3 with each trajectory stacked whole
 _BLOCK_VALUES = 2048
 
 
@@ -90,10 +92,9 @@ def _blocks(count, node_count):
 
 
 def _state_blocks(traj):
-    """Yield (start, stop, u, mu) per block of steps: u and mu of states start..stop, stacked."""
+    """Yield (start, stop, u, mu) per block of steps: u and mu at levels start..stop, as views."""
     for start, stop in _blocks(traj.params.N, traj.grid.node_count):
-        states = traj.states[start : stop + 1]
-        yield start, stop, np.stack([s.u.values for s in states]), np.stack([s.mu.values for s in states])
+        yield start, stop, traj.u[start : stop + 1], traj.mu[start : stop + 1]
 
 
 def _inner_h(g, a, b):
@@ -116,9 +117,10 @@ def _sq_v(g, x):
 def build_ledger(traj, b):
     """Accumulate the twelve ledger quantities from a finished trajectory.
 
-    The steps are taken in blocks of stacked states. q1 and q9 are Parseval
-    sums on the DCT-II modes; every other entry is a reduction over face
-    differences, the stencil or the graph, which stay exact at any grid size.
+    The steps are taken in blocks of levels, slices of the trajectory's
+    arrays. q1 and q9 are Parseval sums on the DCT-II modes; every other
+    entry is a reduction over face differences, the stencil or the graph,
+    which stay exact at any grid size.
     """
     params = traj.params
     g = traj.grid
@@ -191,14 +193,14 @@ def identity_report(traj, b, p, tol=1e-10):
       equation with the density increment;
     * the conservation of the mean of u + h*mu.
 
-    The steps are taken in the ledger's blocks of stacked states. A
-    trajectory without sources (one reloaded from CSV) is unforced.
+    The steps are taken in the ledger's blocks of levels. A trajectory
+    without sources (one reloaded from CSV) is unforced.
     """
     params = traj.params
     g = traj.grid
     h, eps, lam = params.h, params.eps, params.lam
     spatial = tuple(range(-g.d, 0))
-    m_init = mean(traj.states[0].u)
+    m_init = g.cell_volume * float(np.sum(traj.u[0]))
     dist_sq = dot_sq = increment = energy = mass = 0.0
     for start, stop, u, mu in _state_blocks(traj):
         u0, u1, mu1 = u[:-1], u[1:], mu[1:]
@@ -211,7 +213,7 @@ def identity_report(traj, b, p, tol=1e-10):
         gap = np.max(np.abs(h * (du / h) - du), axis=spatial)
         increment = max(increment, float(np.max(gap / np.maximum(1.0, np.max(np.abs(du), axis=spatial)))))
 
-        f1 = np.stack([f.values for f in traj.sources[start:stop]]) if traj.sources else 0.0
+        f1 = 0.0 if traj.f is None else traj.f[start:stop]
         lhs = _inner_h(g, du, mu1)
         terms = [
             lam * h * _sq_h(g, du / h),

@@ -1,9 +1,8 @@
 """Neumann linear solvers, dual norms, and the per-step nonlinear solve.
 
 Every public function takes and returns ndarrays of shape ``g.shape`` (a
-wrong shape is a grid mismatch); ``grid.Field`` is the state type, which
-``scheme`` builds once per state. A non-finite value fails the residual
-check of the first solve it reaches.
+wrong shape is a grid mismatch), and so do ``scheme``'s steps. A
+non-finite value fails the residual check of the first solve it reaches.
 
 The cell-centred mirror-ghost Laplacian is diagonal in the orthonormal
 DCT-II basis, with eigenvalue sum_axes -4 sin^2(pi*k/(2n))/dx^2 on mode k
@@ -74,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinearity as nl
-from .grid import _laplacian
+from .grid import _laplacian, _on_grid
 
 __all__ = [
     "SolverOptions",
@@ -83,7 +82,6 @@ __all__ = [
     "CompatibilityError",
     "helmholtz_solve",
     "neumann_poisson_solve",
-    "source_potential",
     "dual_coefficients",
     "vstar_norm",
     "v0star_norm",
@@ -260,11 +258,6 @@ def _shifted_solve(g, b, alpha, opts, x=None):
     return _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann", x)
 
 
-def _on_grid(g, *arrays):
-    if any(np.shape(a) != g.shape for a in arrays):
-        raise ValueError(f"grid mismatch: {g} vs arrays of shape {[np.shape(a) for a in arrays]}")
-
-
 def _mean_free(g, a, what):
     _on_grid(g, a)
     m = g.cell_volume * float(np.sum(a))
@@ -294,11 +287,6 @@ def neumann_poisson_solve(g, rhs, opts=None):
     b = rhs - rhs.mean()
     tol = opts.lin_tol * float(np.linalg.norm(b))
     return _checked_solve(g, b, 0.0, 1.0, tol, "mean-zero Poisson")
-
-
-def source_potential(g, g_values, opts=None):
-    """Mean-zero potential f with -Lap f = g (the representative is fixed mean-zero)."""
-    return neumann_poisson_solve(g, g_values, opts)
 
 
 def dual_coefficients(g, stack, shift):

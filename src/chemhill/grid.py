@@ -11,12 +11,17 @@ The stencil lives in one private function on plain arrays, which
 :func:`laplacian_apply` wraps and the solvers in ``elliptic`` use for their
 residual checks; the face differences behind :func:`seminorm_v` live in
 another. Both accept leading batch axes, so ``diagnostics`` applies them to
-stacked states. The stencil's eigenvectors are the cosines
+blocks of levels. The stencil's eigenvectors are the cosines
 cos(pi*k*(i + 1/2)/n) of the DCT-II basis, which is how ``elliptic``
 inverts it.
+
+``Field``, which rejects non-finite entries, is the user-facing grid
+function: a datum, a source, the argument of the norms. The transport term
+:func:`advective_divergence` takes and returns arrays, as ``elliptic`` does.
 """
 
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -122,10 +127,9 @@ class Field:
         return f"Field({self.grid}, min={self.values.min():.3g}, max={self.values.max():.3g})"
 
 
-def _same_grid(g, *fields):
-    for f in fields:
-        if not g.matches(f.grid):
-            raise ValueError(f"grid mismatch: {g} vs {f.grid}")
+def _on_grid(g, *arrays):
+    if any(np.shape(a) != g.shape for a in arrays):
+        raise ValueError(f"grid mismatch: {g} vs arrays of shape {[np.shape(a) for a in arrays]}")
 
 
 def _laplacian(v, dx, d=None):
@@ -151,7 +155,7 @@ def laplacian_apply(g, u):
     Constants are in the kernel and the discrete mean of the output is a
     telescoping sum, hence zero up to accumulation roundoff.
     """
-    _same_grid(g, u)
+    _on_grid(g, u.values)
     return Field(g, _laplacian(u.values, g.dx))
 
 
@@ -168,21 +172,20 @@ def _tail(a, axis):
 
 
 def advective_divergence(g, u, v):
-    """Discrete divergence of the face fluxes u_face * dv_face.
+    """Discrete divergence of the face fluxes u_face * dv_face, for arrays u, v of shape ``g.shape``.
 
     Face values of u are arithmetic means of the two adjacent nodes, the
     gradient of v is the face-centered difference, and the normal flux
     vanishes on the boundary, so the output telescopes to exact zero mean.
     """
-    _same_grid(g, u, v)
-    uv, vv = u.values, v.values
-    out = np.zeros_like(uv)
+    _on_grid(g, u, v)
+    out = np.zeros(g.shape)
     for axis in range(g.d):
-        dv = np.diff(vv, axis=axis) / g.dx
-        flux = 0.5 * (_tail(uv, axis) + _head(uv, axis)) * dv
+        dv = np.diff(v, axis=axis) / g.dx
+        flux = 0.5 * (_tail(u, axis) + _head(u, axis)) * dv
         _head(out, axis)[...] += flux
         _tail(out, axis)[...] -= flux
-    return Field(g, out / g.dx)
+    return out / g.dx
 
 
 def inner_h(u, w):
@@ -196,7 +199,8 @@ def norm_h(u):
 
 
 def norm_l4(u):
-    return (u.grid.cell_volume * float(np.sum(u.values**4))) ** 0.25
+    # squared twice, not u**4: a power of a negative base goes through libm pow
+    return (u.grid.cell_volume * float(np.sum(np.square(np.square(u.values))))) ** 0.25
 
 
 def mean(u):
@@ -254,6 +258,40 @@ def _first_bad_line(fh, width):
             except ValueError:
                 return f"line {lineno}: {token!r} is not a number"
     return None
+
+
+def _read_node_csv(path, label, header, node_count):
+    """The rows ``t,node,values...`` (C-order flat node index) of a CSV, as {t: {node: [values]}}.
+
+    The first line must be ``header``; blank lines are skipped. A row of the wrong width, a token
+    that is no number, a non-finite entry, a node outside [0, node_count) (never wrapped) and a
+    second row for one (t, node) are rejected with their file line.
+    """
+    rows = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = [x.strip() for x in next(reader, [])]
+        if first != header:
+            raise ValueError(f"{label} must have header {','.join(header)}, got {first}")
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            where = f"{label} line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} values, found {len(row)}")
+            try:
+                t, node, values = float(row[0]), int(row[1]), [float(x) for x in row[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, [t, *values])):
+                raise ValueError(f"{where}: non-finite entry in {','.join(row)}")
+            if not 0 <= node < node_count:
+                raise ValueError(f"{where}: node {node} outside 0..{node_count - 1}")
+            block = rows.setdefault(t, {})
+            if node in block:
+                raise ValueError(f"{where}: second row for t={row[0]}, node {node}")
+            block[node] = values
+    return rows
 
 
 def load_field_csv(g, path):

@@ -88,9 +88,8 @@ def _uhat_at(traj, ts):
     level = np.abs(kf - k) <= 1e-9
     n = np.minimum(np.where(level, k, np.floor(kf)), traj.params.N - 1)
     s = (np.where(level, k, kf) - n).reshape((-1,) + (1,) * traj.grid.d)
-    u = np.stack([st.u.values for st in traj.states[int(n[0]) : int(n[-1]) + 2]])
-    i = (n - n[0]).astype(int)
-    return (1.0 - s) * u[i] + s * u[i + 1]
+    i = n.astype(int)
+    return (1.0 - s) * traj.u[i] + s * traj.u[i + 1]
 
 
 def _uhat_diff_norms(traj_a, traj_b):

@@ -24,28 +24,28 @@ solves' forward error by h and skip a residual check. The initial
 potential is identically zero and the initial density is the smoothed
 datum.
 
-A step works on its states' arrays, as ``elliptic``'s solvers do, and
-builds a ``Field`` (the state type, which rejects non-finite entries)
-only for the transport term and the new state's u, mu and v.
+A trajectory is three arrays u, mu and v of shape (N+1,) + grid.shape,
+level n at row n, which ``run`` fills row by row. A step takes and
+returns arrays, as ``elliptic``'s solvers do, and builds no ``Field``;
+it checks once that its new arrays are finite, the guard that ``Field``
+(the user-facing grid function) gives its entries.
 
 Besides the marching loop this module holds the trajectory CSV format and
 the vectorized '%.17g' formatter that writes it.
 """
 
-import csv
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import SolverFailure, SolverOptions, helmholtz_solve, source_potential, step_solve
-from .grid import Field, advective_divergence
+from .elliptic import SolverFailure, SolverOptions, helmholtz_solve, neumann_poisson_solve, step_solve
+from .grid import Field, _read_node_csv, advective_divergence
 from .nonlinearity import validate_assumptions
 
 __all__ = [
     "SimParams",
-    "StepState",
     "Trajectory",
     "Scenario",
     "average_sources",
@@ -108,32 +108,27 @@ class SimParams:
 
 
 @dataclass
-class StepState:
-    """State after step n: density u, potential mu, chemotaxis potential v.
+class Trajectory:
+    """The levels of a run: density u, potential mu, chemotaxis potential v.
 
-    Invariant: v = K u with K = (I - Lap)^(-1), i.e. ``helmholtz_solve(grid, u.values)``;
-    ``run`` and ``step`` build every state that way and ``step`` relies on it.
+    ``u``, ``mu`` and ``v`` have shape (K+1,) + grid.shape, level n at row
+    n (K = N for a finished run, fewer for the partial trajectory of a
+    failed one). Invariant: v[n] = K u[n] with K = (I - Lap)^(-1), i.e.
+    ``helmholtz_solve(grid, u[n])``; ``run`` builds every level that way
+    and ``step`` relies on it. ``f`` is the (N,) + grid.shape array of the
+    step sources, or None for an unforced run (or one reloaded from CSV).
     """
 
-    n: int
-    u: Field
-    mu: Field
-    v: Field
-
-
-@dataclass
-class Trajectory:
-    states: list
+    grid: object
     params: SimParams
-    sources: list = field(default_factory=list)
-
-    @property
-    def grid(self):
-        return self.states[0].u.grid
+    u: np.ndarray
+    mu: np.ndarray
+    v: np.ndarray
+    f: np.ndarray = None
 
     @property
     def times(self):
-        return np.arange(len(self.states)) * self.params.h
+        return np.arange(len(self.u)) * self.params.h
 
 
 @dataclass
@@ -170,69 +165,71 @@ def average_sources(provider, params, grid):
     return [provider((k + 0.5) * h, grid) for k in range(params.N)]
 
 
-def step(prev, f_next, params, b, p, opts=None):
-    """Advance one level; raises SolverFailure (with step index) on solver failure.
+def step(g, u, mu, v, f_next, params, b, p, opts=None):
+    """Advance the level (u, mu, v) one step and return the next one's arrays.
 
-    ``prev.v`` serves as K u_n on the right-hand side and in the first
-    Newton residual, so it must be ``helmholtz_solve(grid, prev.u.values)`` (the
-    StepState invariant); the shifted solves are deterministic, so this
-    equals recomputing it bit for bit. The new state keeps the invariant:
-    its v is the K u of the accepted Newton residual, bitwise the solve.
+    ``v`` serves as K u_n on the right-hand side and in the first Newton
+    residual, so it must be ``helmholtz_solve(g, u)`` (the Trajectory
+    invariant); the shifted solves are deterministic, so this equals
+    recomputing it bit for bit. The new level keeps the invariant: its v is
+    the K u of the accepted Newton residual, bitwise the solve. Raises
+    SolverFailure when a solve fails or a new array is not finite.
     """
     opts = opts or SolverOptions()
-    g = prev.u.grid
     h, lam = params.h, params.lam
-    u, mu, v = prev.u.values, prev.mu.values, prev.v.values
-    try:
-        adv = params.eta * advective_divergence(g, prev.u, prev.v).values
-        rhs = h * f_next.values + lam * u + v + h * helmholtz_solve(g, mu - adv, opts)
-        u_next, v_next = step_solve(g, params, b, p, rhs, u, opts, k_warm=v)
-        mu_next = helmholtz_solve(g, mu - (u_next - u) / h - adv, opts)
-    except SolverFailure as exc:
-        exc.step_index = prev.n
-        raise
-    return StepState(prev.n + 1, Field(g, u_next), Field(g, mu_next), Field(g, v_next))
+    adv = params.eta * advective_divergence(g, u, v)
+    rhs = h * f_next + lam * u + v + h * helmholtz_solve(g, mu - adv, opts)
+    u_next, v_next = step_solve(g, params, b, p, rhs, u, opts, k_warm=v)
+    mu_next = helmholtz_solve(g, mu - (u_next - u) / h - adv, opts)
+    if not all(np.isfinite(x).all() for x in (u_next, mu_next, v_next)):
+        raise SolverFailure("the new level holds non-finite entries")
+    return u_next, mu_next, v_next
 
 
 def run(scenario, opts=None):
     """March the full scheme and return the trajectory.
 
     The structural assumptions are re-validated first and a failure there
-    raises before any stepping. A step failure mid-run re-raises with the
-    partial trajectory attached to the exception.
+    raises before any stepping. A step failure mid-run re-raises with its
+    ``step_index`` k and the partial trajectory of levels 0..k attached to
+    the exception. Every step calls the module's ``step``.
     """
     opts = opts or SolverOptions()
     g = scenario.grid
     params = scenario.params
     params.validate()
 
-    zero = Field(g, np.zeros(g.shape))
-    probes = []
-    if scenario.source is None:
-        f_fields = [zero] * params.N
-    elif scenario.source.kind == "g":
-        probes = average_sources(scenario.source, params, g)
-        f_fields = [Field(g, source_potential(g, gk.values, opts)) for gk in probes]
-    else:
-        f_fields = average_sources(scenario.source, params, g)
+    f, probes = None, []
+    if scenario.source is not None:
+        sources = average_sources(scenario.source, params, g)
+        if scenario.source.kind == "g":
+            probes = sources
+            f = np.stack([neumann_poisson_solve(g, gk.values, opts) for gk in probes])
+        else:
+            f = np.stack([fk.values for fk in sources])
 
     report = validate_assumptions(scenario.beta, scenario.pi, scenario.u0, probes)
     if not report.passed:
         raise ValueError("assumption validation failed: " + ", ".join(report.failed_names()))
 
-    u0e = scenario.u0
+    shape = (params.N + 1,) + g.shape
+    u, mu, v = np.empty(shape), np.empty(shape), np.empty(shape)
+    u[0] = scenario.u0.values
     if scenario.smooth_u0:
-        u0e = Field(g, helmholtz_solve(g, u0e.values, opts, alpha=params.eps))
-    state = StepState(0, u0e, zero, Field(g, helmholtz_solve(g, u0e.values, opts)))
-    states = [state]
+        u[0] = helmholtz_solve(g, u[0], opts, alpha=params.eps)
+    mu[0] = 0.0
+    v[0] = helmholtz_solve(g, u[0], opts)
+    zero = np.zeros(g.shape)  # every step's source in an unforced run
     for k in range(params.N):
         try:
-            state = step(state, f_fields[k], params, scenario.beta, scenario.pi, opts)
+            u[k + 1], mu[k + 1], v[k + 1] = step(
+                g, u[k], mu[k], v[k], zero if f is None else f[k], params, scenario.beta, scenario.pi, opts
+            )
         except SolverFailure as exc:
-            exc.trajectory = Trajectory(states, params, f_fields)
+            exc.step_index = k
+            exc.trajectory = Trajectory(g, params, u[: k + 1], mu[: k + 1], v[: k + 1], f)
             raise
-        states.append(state)
-    return Trajectory(states, params, f_fields)
+    return Trajectory(g, params, u, mu, v, f)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,8 @@ def save_trajectory_csv(traj, path, stride=1):
     write stays serial. A child that fails raises OSError here, after
     every child is reaped.
     """
-    kept = [s for s in traj.states if s.n % stride == 0 or s.n == traj.params.N]
+    N = traj.params.N
+    kept = [n for n in range(N + 1) if n % stride == 0 or n == N]
     nodes = _node_column(traj.grid.node_count)
     bounds = _chunk_bounds(len(kept), 3 * traj.grid.node_count)
     chunks = [kept[a:z] for a, z in zip(bounds, bounds[1:])]
@@ -286,8 +284,8 @@ def save_trajectory_csv(traj, path, stride=1):
         try:
             try:
                 for i, chunk in enumerate(chunks[1:], start=1):
-                    parts.append(_fork_writer(f"{path}.{os.getpid()}.part{i}", chunk, nodes, traj.params.h))
-                _write_snapshots(fh, chunks[0], nodes, traj.params.h)
+                    parts.append(_fork_writer(f"{path}.{os.getpid()}.part{i}", traj, chunk, nodes))
+                _write_snapshots(fh, traj, chunks[0], nodes)
             finally:
                 codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in parts]
             if any(codes):
@@ -317,15 +315,15 @@ def _node_column(count):
     return chars, chars != 0
 
 
-def _write_snapshots(fh, states, nodes, h):
+def _write_snapshots(fh, traj, levels, nodes):
     # a block of rows is one byte matrix: the time, the node column, then the
     # u, mu and v slots of _format_g17 with the separators in their spare
     # columns; its kept bytes, in row order, are the block's CSV lines
     node_chars, node_keep = nodes
     rows = _CSV_BLOCK_VALUES // 3
-    for s in states:
-        time = np.frombuffer(f"{s.n * h:.17g},".encode(), np.uint8)
-        values = np.stack([s.u.values.ravel(), s.mu.values.ravel(), s.v.values.ravel()], axis=1)
+    for n in levels:
+        time = np.frombuffer(f"{n * traj.params.h:.17g},".encode(), np.uint8)
+        values = np.stack([traj.u[n].ravel(), traj.mu[n].ravel(), traj.v[n].ravel()], axis=1)
         for a in range(0, len(values), rows):
             chars, keep = _format_g17(values[a : a + rows])
             chars[..., -1] = ord(",")
@@ -340,9 +338,9 @@ def _write_snapshots(fh, states, nodes, h):
             fh.write(line[mask])
 
 
-def _fork_writer(name, states, nodes, h):
+def _fork_writer(name, traj, levels, nodes):
     # opens and unlinks ``name`` (so no part file outlives the process), then
-    # forks a child that writes the states into it; returns (pid, fd). The
+    # forks a child that writes the levels into it; returns (pid, fd). The
     # child only formats and writes, and ends in os._exit on every path, so it
     # never returns into the caller or flushes the parent's buffers
     fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
@@ -356,7 +354,7 @@ def _fork_writer(name, states, nodes, h):
         status = 1
         try:
             with open(fd, "wb", closefd=False) as part:
-                _write_snapshots(part, states, nodes, h)
+                _write_snapshots(part, traj, levels, nodes)
             status = 0
         except BaseException:
             sys.excepthook(*sys.exc_info())
@@ -535,32 +533,22 @@ def _format_g17(x):
 
 
 def load_trajectory_csv(path, grid, params):
-    """Rebuild a trajectory saved with stride 1 (all N+1 states present).
+    """Rebuild a trajectory saved with stride 1 (all N+1 levels present).
 
-    A node outside ``[0, node_count)`` or a second row for one (t, node) is
-    rejected with its line number; snapshot n must lie at exactly n*h.
+    ``grid._read_node_csv`` rejects a malformed row with its line number;
+    snapshot n must lie at exactly n*h and hold every node.
     """
     count = grid.node_count
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for t, node, u, mu, v in reader:
-            block, node = rows.setdefault(float(t), {}), int(node)
-            if not 0 <= node < count:
-                raise ValueError(f"trajectory csv line {reader.line_num}: node {node} outside 0..{count - 1}")
-            if node in block:
-                raise ValueError(f"trajectory csv line {reader.line_num}: second row for t={t}, node {node}")
-            block[node] = (float(u), float(mu), float(v))
+    rows = _read_node_csv(path, "trajectory csv", ["time", "node", "u", "mu", "v"], count)
     times = sorted(rows)
     if len(times) != params.N + 1:
         raise ValueError(f"expected {params.N + 1} snapshots, found {len(times)}")
-    states = []
+    data = np.empty((3, params.N + 1, count))
     for n, t in enumerate(times):
         if t != n * params.h:  # the writer's .17g times round-trip exactly
             raise ValueError(f"snapshot {n} at t={t!r}, expected n*h = {n * params.h!r}")
         if len(rows[t]) != count:
             raise ValueError(f"snapshot at t={t} has {len(rows[t])} nodes, expected {count}")
-        arr = np.array([rows[t][j] for j in range(count)])
-        states.append(StepState(n, Field(grid, arr[:, 0]), Field(grid, arr[:, 1]), Field(grid, arr[:, 2])))
-    return Trajectory(states, params)
+        data[:, n] = np.array([rows[t][j] for j in range(count)]).T
+    u, mu, v = data.reshape((3, params.N + 1) + grid.shape)
+    return Trajectory(grid, params, u, mu, v)

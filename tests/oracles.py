@@ -174,11 +174,11 @@ def trajectory_csv_bytes(traj, stride=1):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["time", "node", "u", "mu", "v"])
-    for s in traj.states:
-        if s.n % stride and s.n != traj.params.N:
+    for n in range(traj.params.N + 1):
+        if n % stride and n != traj.params.N:
             continue
-        t = s.n * traj.params.h
-        uf, mf, vf = s.u.values.ravel(), s.mu.values.ravel(), s.v.values.ravel()
+        t = n * traj.params.h
+        uf, mf, vf = traj.u[n].ravel(), traj.mu[n].ravel(), traj.v[n].ravel()
         for j in range(uf.size):
             writer.writerow([f"{t:.17g}", j, f"{uf[j]:.17g}", f"{mf[j]:.17g}", f"{vf[j]:.17g}"])
     return buf.getvalue().encode()
@@ -204,22 +204,21 @@ def refined_shifted_solve(values):
     return x + dct_diagonal_apply(residual(x), mult)
 
 
-def four_solve_step(prev, f_next, params, b, p, opts):
+def four_solve_step(g, u, mu, v, f_next, params, b, p, opts):
     """One scheme step that solves K mu_n and K adv_n separately: 4 shifted solves.
 
-    Returns the (u, mu, v) arrays of the next level. The right-hand side is
-    h*f + lam*u_n + v_n + h*K mu_n - h*K adv_n, every K is
-    :func:`refined_shifted_solve`, and the density comes from the package's
-    ``step_solve``, which is not what this oracle checks.
+    Takes the (u, mu, v) arrays of a level and returns the next level's.
+    The right-hand side is h*f + lam*u_n + v_n + h*K mu_n - h*K adv_n, every
+    K is :func:`refined_shifted_solve`, and the density comes from the
+    package's ``step_solve``, which is not what this oracle checks.
     """
     from chemhill.elliptic import step_solve
     from chemhill.grid import advective_divergence
 
-    g, h = prev.u.grid, params.h
-    u, mu, v = prev.u.values, prev.mu.values, prev.v.values
-    adv = params.eta * advective_divergence(g, prev.u, prev.v).values
+    h = params.h
+    adv = params.eta * advective_divergence(g, u, v)
     k_mu, k_adv = refined_shifted_solve(mu), refined_shifted_solve(adv)
-    rhs = h * f_next.values + params.lam * u + v + h * k_mu - h * k_adv
+    rhs = h * f_next + params.lam * u + v + h * k_mu - h * k_adv
     u_next = step_solve(g, params, b, p, rhs, warm=u, opts=opts)[0]
     mu_next = refined_shifted_solve(mu - (u_next - u) / h - adv)
     return u_next, mu_next, refined_shifted_solve(u_next)
@@ -262,10 +261,9 @@ def per_step_ledger(traj, b, opts=None):
         return sq_semi(x) + sq_h(x)
 
     led = DiagnosticsLedger(eps, lam, h, b.family, params.eta)
-    states = traj.states
     for n in range(params.N):
-        u0, u1 = states[n].u.values, states[n + 1].u.values
-        m0, m1 = states[n].mu.values, states[n + 1].mu.values
+        u0, u1 = traj.u[n], traj.u[n + 1]
+        m0, m1 = traj.mu[n], traj.mu[n + 1]
         du = (u1 - u0) / h
         dmu = (m1 - m0) / h
         z = du + h * dmu
@@ -304,10 +302,12 @@ class Reconstruction:
     """
 
     def __init__(self, traj):
+        from chemhill.grid import Field
+
         self.N, self.T, self.h = traj.params.N, traj.params.T, traj.params.h
         self.levels = np.arange(self.N + 1) * self.h
-        self._u = [s.u for s in traj.states]
-        self._mu = [s.mu for s in traj.states]
+        self._u = [Field(traj.grid, x) for x in traj.u]
+        self._mu = [Field(traj.grid, x) for x in traj.mu]
 
     def locate(self, t):
         """(n, s) with t = (n + s)*h: s == 0 exactly at a level, else 0 < s < 1."""

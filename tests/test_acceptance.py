@@ -73,8 +73,8 @@ def test_criterion_2_analytic_mode_decay():
         )
         traj = run(sc, TIGHT)
         alphas, _ = oracles.mode_recurrence(a, eps, lam, T / N, N, 1.0)
-        for s, alpha in zip(traj.states, alphas):
-            worst_step = max(worst_step, float(np.max(np.abs(s.u.values - alpha * phi))))
+        for u, alpha in zip(traj.u, alphas):
+            worst_step = max(worst_step, float(np.max(np.abs(u - alpha * phi))))
         errs[N] = abs(alphas[-1] - np.exp(-oracles.exact_decay_rate(eps, lam) * T))
     order = np.log2(errs[64] / errs[128])
     elapsed = time.perf_counter() - t0

@@ -361,6 +361,8 @@ def _series_config(tmp_path, series_path):
         pytest.param("0.0,99,-0.5", "node 99", id="99"),
         pytest.param("0.0,4,nan", "line 3: non-finite", id="nan"),
         pytest.param("0.0,3,5.0", "line 3: second row for t=0.0, node 3", id="duplicate"),
+        pytest.param("0.0,4,0.5,1", "line 3: expected 3 values, found 4", id="extra-column"),
+        pytest.param("0.0,x,0.5", "line 3: invalid literal for int() with base 10: 'x'", id="bad-node"),
     ],
 )
 def test_main_csv_series_node_out_of_range_exit_two(tmp_path, capsys, row, reason):
@@ -550,6 +552,26 @@ def test_simulate_overflow_in_the_first_step_names_the_step(tmp_path, capsys, d,
     captured = capsys.readouterr()
     assert "simulate failed at step 0: shifted Neumann solve residual nan" in captured.out
     assert captured.err == ""
+
+
+def test_simulate_nan_density_fails_at_its_step(tmp_path, monkeypatch, capsys):
+    # the density solve returns NaN at step 2: that step fails, exit 1, no artifacts
+    calls = []
+    real = chemhill.scheme.step_solve
+
+    def nan_at_step_two(*args, **kwargs):
+        u, ku = real(*args, **kwargs)
+        calls.append(1)
+        return (np.full_like(u, np.nan) if len(calls) == 3 else u), ku
+
+    monkeypatch.setattr(chemhill.scheme, "step_solve", nan_at_step_two)
+    conf = tmp_path / "nan.ini"
+    conf.write_text(RUNNABLE)
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "simulate failed at step 2: " in captured.out
+    assert captured.err == ""
+    assert not (tmp_path / "out").exists()
 
 
 def _run_probe(probe):

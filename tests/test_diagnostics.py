@@ -7,6 +7,7 @@ from chemhill.cli import CosineSource
 from chemhill.diagnostics import (
     DiagnosticsLedger,
     LEDGER_COLUMNS,
+    _state_blocks,
     append_ledger_csv,
     build_ledger,
     check_growth_bound,
@@ -20,7 +21,6 @@ from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval, yosida
 from chemhill.scheme import (
     Scenario,
     SimParams,
-    StepState,
     Trajectory,
     load_trajectory_csv,
     run,
@@ -42,11 +42,9 @@ IDENTITY_ROWS = [
 
 
 def manual_trajectory(g, params, u_fields, mu_fields):
-    states = [
-        StepState(n, u, mu, Field(g, helmholtz_solve(g, u.values)))
-        for n, (u, mu) in enumerate(zip(u_fields, mu_fields))
-    ]
-    return Trajectory(states, params)
+    u = np.stack([f.values for f in u_fields])
+    mu = np.stack([f.values for f in mu_fields])
+    return Trajectory(g, params, u, mu, np.stack([helmholtz_solve(g, x) for x in u]))
 
 
 def test_zero_trajectory_gives_zero_ledger():
@@ -126,6 +124,16 @@ def test_blocked_ledger_matches_per_step_oracle(d, n, N, family):
         assert a == pytest.approx(c, rel=1e-12, abs=1e-300), name
 
 
+def test_state_blocks_are_views_of_the_trajectory():
+    # 1D n=32: 64 steps per block, so N=70 walks two blocks without copying a level
+    traj = _random_trajectory(1, 32, 70, "power", seed=3)
+    blocks = list(_state_blocks(traj))
+    assert [(start, stop) for start, stop, _, _ in blocks] == [(0, 64), (64, 70)]
+    for start, stop, u, mu in blocks:
+        assert np.shares_memory(u, traj.u) and np.shares_memory(mu, traj.mu)
+        assert np.array_equal(u, traj.u[start : stop + 1]) and np.array_equal(mu, traj.mu[start : stop + 1])
+
+
 def test_ledger_csv_append(tmp_path):
     path = tmp_path / "ledger.csv"
     led = DiagnosticsLedger(0.1, 0.01, 0.05, "power", 0.5, *range(1, 13))
@@ -160,7 +168,7 @@ def block_runs(tmp_path_factory):
     path = tmp_path_factory.mktemp("identities") / "t.csv"
     save_trajectory_csv(run(sc, TIGHT), path)
     reloaded = load_trajectory_csv(path, g, params)
-    assert forced.sources and not reloaded.sources
+    assert forced.f is not None and reloaded.f is None
     return {"forced": forced, "reloaded": reloaded}, sc
 
 
@@ -190,9 +198,9 @@ def test_identity_report_finds_planted_defect_in_each_block(block_runs, which, p
     g = traj.grid
     n, name = (k, "u") if plant == "u_bump" else (k + 1, "mu")
     delta = np.full(g.shape, 1e-4) if plant == "mu_shift" else 1e-4 * np.cos(np.pi * g.axis)
-    states = list(traj.states)
-    states[n] = replace(states[n], **{name: getattr(states[n], name) + Field(g, delta)})
-    rows = identity_report(Trajectory(states, traj.params, traj.sources), sc.beta, sc.pi)
+    planted = getattr(traj, name).copy()
+    planted[n] += delta
+    rows = identity_report(replace(traj, **{name: planted}), sc.beta, sc.pi)
     assert [row for row, _, _ in rows] == IDENTITY_ROWS
     failed = {row for row, _, passed in rows if not passed}
     assert failing <= failed and not passing & failed

@@ -7,7 +7,7 @@ from chemhill.elliptic import SolverOptions
 from chemhill.grid import Field, make_grid, norm_h, norm_l4, norm_v
 from chemhill.limits import _uhat_at, _uhat_diff_norms, estimate_order, save_study_csv, study, summarize
 from chemhill.nonlinearity import BetaSpec, PiSpec
-from chemhill.scheme import Scenario, SimParams, StepState, Trajectory, run
+from chemhill.scheme import Scenario, SimParams, Trajectory, run
 
 import oracles
 
@@ -114,7 +114,7 @@ def test_study_h_reads_the_last_level_at_a_time_past_T():
     assert len(rep.diffs_linf_h) == len(rep.diffs_l2_vstar) == 1
     assert all(np.isfinite(d) and d > 0 for d in rep.diffs_linf_h + rep.diffs_l2_vstar)
     traj = run(sc)
-    assert np.array_equal(_uhat_at(traj, traj.times)[-1], traj.states[-1].u.values)
+    assert np.array_equal(_uhat_at(traj, traj.times)[-1], traj.u[-1])
 
 
 def test_identical_runs_have_zero_difference():
@@ -128,11 +128,8 @@ def test_identical_runs_have_zero_difference():
 
 def _random_trajectory(g, N, T, seed):
     rng = np.random.default_rng(seed)
-    states = []
-    for n in range(N + 1):
-        u = Field(g, rng.standard_normal(g.shape))
-        states.append(StepState(n, u, u, u))
-    return Trajectory(states, SimParams(eps=0.1, lam=0.01, N=N, T=T))
+    u = np.stack([rng.standard_normal(g.shape) for _ in range(N + 1)])
+    return Trajectory(g, SimParams(eps=0.1, lam=0.01, N=N, T=T), u, u, u)
 
 
 # blocks of 64 breakpoints in 1D at n=32 and of 8 in 2D at n=16; the level
@@ -159,7 +156,7 @@ def test_uhat_gather_matches_pointwise_oracle(d, n):
     ts = np.union1d(breaks, 0.5 * (breaks[1:] + breaks[:-1]))
     for traj in (ta, tb):
         rec = oracles.Reconstruction(traj)
-        scale = max(np.max(np.abs(s.u.values)) for s in traj.states)
+        scale = np.max(np.abs(traj.u))
         levels = between = 0
         for t, got in zip(ts, _uhat_at(traj, ts)):
             want = rec.u_hat(t).values
@@ -188,19 +185,19 @@ def short_traj():
 def test_interpolant_evaluation_conventions(short_traj):
     rec = oracles.Reconstruction(short_traj)
     h = short_traj.params.h
-    states = short_traj.states
-    assert np.array_equal(rec.u_hat(0.0).values, states[0].u.values)
-    assert np.array_equal(rec.u_hat(short_traj.params.T).values, states[-1].u.values)
-    assert np.array_equal(rec.u_bar(0.0).values, states[1].u.values)
-    assert np.array_equal(rec.u_bar(1.5 * h).values, states[2].u.values)
-    assert np.array_equal(rec.u_under(1.5 * h).values, states[1].u.values)
-    assert np.array_equal(rec.u_under(short_traj.params.T).values, states[-2].u.values)
+    u = short_traj.u
+    assert np.array_equal(rec.u_hat(0.0).values, u[0])
+    assert np.array_equal(rec.u_hat(short_traj.params.T).values, u[-1])
+    assert np.array_equal(rec.u_bar(0.0).values, u[1])
+    assert np.array_equal(rec.u_bar(1.5 * h).values, u[2])
+    assert np.array_equal(rec.u_under(1.5 * h).values, u[1])
+    assert np.array_equal(rec.u_under(short_traj.params.T).values, u[-2])
     # at a shared breakpoint both one-sided reconstructions take that level
-    assert np.array_equal(rec.u_bar(h).values, states[1].u.values)
-    assert np.array_equal(rec.u_under(h).values, states[1].u.values)
+    assert np.array_equal(rec.u_bar(h).values, u[1])
+    assert np.array_equal(rec.u_under(h).values, u[1])
     mid = rec.u_hat(0.5 * h)
-    expect = 0.5 * (states[0].u + states[1].u)
-    assert np.max(np.abs(mid.values - expect.values)) <= 1e-15
+    expect = 0.5 * (u[0] + u[1])
+    assert np.max(np.abs(mid.values - expect)) <= 1e-15
     with pytest.raises(ValueError):
         rec.u_hat(-1e-9)
     with pytest.raises(ValueError):
@@ -211,11 +208,11 @@ def test_interpolant_max_form_identities(short_traj):
     # the sup norms of the linear reconstruction over [0, T] reduce to the
     # max of the initial value and the right-constant reconstruction
     rec = oracles.Reconstruction(short_traj)
-    states = short_traj.states
+    u = [Field(short_traj.grid, x) for x in short_traj.u]
     for norm in (norm_v, norm_l4, norm_h):
         hat_sup = max(norm(rec.u_hat(t)) for t in rec.levels)
-        bar_sup = max(norm(s.u) for s in states[1:])
-        assert hat_sup == pytest.approx(max(norm(states[0].u), bar_sup), abs=1e-14)
+        bar_sup = max(norm(x) for x in u[1:])
+        assert hat_sup == pytest.approx(max(norm(u[0]), bar_sup), abs=1e-14)
     mu_hat_sup = max(norm_h(rec.mu_hat(t)) for t in rec.levels)
     mu_bar_sup = max(norm_h(rec.mu_bar(t)) for t in rec.levels)
     assert mu_hat_sup == pytest.approx(mu_bar_sup, abs=1e-14)
@@ -224,9 +221,9 @@ def test_interpolant_max_form_identities(short_traj):
 def test_increment_identity_on_each_interval(short_traj):
     rec = oracles.Reconstruction(short_traj)
     h = short_traj.params.h
-    states = short_traj.states
+    u = [Field(short_traj.grid, x) for x in short_traj.u]
     for n in range(short_traj.params.N):
-        dot = (states[n + 1].u - states[n].u) / h
+        dot = (u[n + 1] - u[n]) / h
         t = (n + 0.5) * h
         gap = h * dot - (rec.u_bar(t) - rec.u_under(t))
         assert np.max(np.abs(gap.values)) <= 1e-13
