@@ -27,7 +27,6 @@ from .elliptic import (
     vstar_norm,
 )
 from .grid import (
-    Field,
     Grid,
     advective_divergence,
     inner_h,

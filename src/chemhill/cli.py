@@ -45,7 +45,7 @@ import numpy as np
 
 from .diagnostics import LEDGER_COLUMNS, append_ledger_csv, build_ledger, identity_report
 from .elliptic import SolverFailure, SolverOptions
-from .grid import Field, _read_node_csv, load_field_csv, make_grid
+from .grid import _read_node_csv, load_field_csv, make_grid
 from .limits import STUDY_COLUMNS, check_levels, save_study_csv, study, study_rows, summarize
 from .nonlinearity import BetaSpec, PiSpec, validate_assumptions
 from .scheme import Scenario, SimParams, average_sources, run, save_trajectory_csv
@@ -270,7 +270,7 @@ class CosineSource:
         self.ramp = ramp
 
     def __call__(self, t, grid):
-        return Field(grid, self.amplitude * (1.0 + self.ramp * t) * _separable(grid, self.k))
+        return self.amplitude * (1.0 + self.ramp * t) * _separable(grid, self.k)
 
 
 class CsvSeriesSource:
@@ -300,18 +300,18 @@ class CsvSeriesSource:
         if t < self.times[0] - 1e-12:
             raise ValueError(f"series starts at t={self.times[0]}, asked for {t}")
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return Field(grid, self.blocks[max(idx, 0)])
+        return self.blocks[max(idx, 0)].reshape(grid.shape)
 
 
 def build_initial(cfg, grid):
+    """The initial datum of the configured preset, an array of shape ``grid.shape``."""
     if cfg.initial_preset == "constant":
-        return Field(grid, np.full(grid.shape, cfg.initial_c))
+        return np.full(grid.shape, cfg.initial_c)
     if cfg.initial_preset == "cosine":
-        return Field(grid, cfg.initial_amplitude * _separable(grid, cfg.initial_k))
+        return cfg.initial_amplitude * _separable(grid, cfg.initial_k)
     if cfg.initial_preset == "bump":
-        coords = grid.coords()
-        r2 = sum((c - 0.5) ** 2 for c in coords)
-        return Field(grid, cfg.initial_amplitude * np.exp(-r2 / 0.02))
+        r2 = sum((c - 0.5) ** 2 for c in grid.coords())
+        return cfg.initial_amplitude * np.exp(-r2 / 0.02)
     return load_field_csv(grid, cfg.initial_path)
 
 
@@ -436,7 +436,7 @@ def _cmd_validate(cfg, scenario, outdir):
     probes = []
     if scenario.source is not None and scenario.source.kind == "g":
         probes = average_sources(scenario.source, scenario.params, scenario.grid)
-    report = validate_assumptions(scenario.beta, scenario.pi, scenario.u0, probes)
+    report = validate_assumptions(scenario.grid, scenario.beta, scenario.pi, scenario.u0, probes)
     text = report.render()
     print(text)
     if outdir is not None:

@@ -21,10 +21,12 @@ quantitative content of the a priori estimates:
 All quantities are evaluated exactly from the piecewise-in-time structure
 of the reconstructions. The dual norms of q1 and q9 are Parseval sums of
 ``elliptic.dual_coefficients``; q1's projection onto mean zero is the
-dropped mode 0 of the inverse Neumann Laplacian's symbol.
+dropped mode 0 of the inverse Neumann Laplacian's symbol. Every other
+norm is one of ``grid``'s batched cores, one value per level of a block.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import nonlinearity as nl
 from .elliptic import dual_coefficients, helmholtz_solve
-from .grid import Field, _face_diff_sq, _laplacian, inner_h, laplacian_apply, norm_h
+from .grid import _laplacian, _pair, _quartic, _sq_semi, _sq_v, _sum, _total, inner_h, laplacian_apply, norm_h
 
 __all__ = [
     "DiagnosticsLedger",
@@ -76,13 +78,12 @@ class DiagnosticsLedger:
         return [self.eps, self.lam, self.h, self.beta_family, self.eta] + self.qvalues()
 
 
-# values per block of levels when a trajectory is walked in blocks: 8 steps
-# per block in 1D at n=256, one in 2D from n=46. A block is a view of the
-# trajectory's arrays, so the size bounds the reductions' temporaries. When
-# blocks were stacked copies, peak RSS of the 1D n=256 study (median of 7
-# CLI runs, 2-vCPU VM) was 39.9 MB at 1024 values, 40.0 at 2048, 40.2 at
-# 4096, 40.6 at 8192 and 42.3 with each trajectory stacked whole
-_BLOCK_VALUES = 2048
+# values per block of levels when a trajectory is walked in blocks: 32 steps
+# per block in 1D at n=256, two in 2D at n=64. A block is a view of the
+# trajectory's arrays, so the size bounds the reductions' temporaries. Peak
+# RSS of the 1D n=256 study (VmHWM, one CLI process, 2-vCPU VM) was 33.90 MB
+# at 2048 values, 34.43 at 8192 and 36.30 at 32768
+_BLOCK_VALUES = 8192
 
 
 def _blocks(count, node_count):
@@ -97,28 +98,17 @@ def _state_blocks(traj):
         yield start, stop, traj.u[start : stop + 1], traj.mu[start : stop + 1]
 
 
-def _inner_h(g, a, b):
-    # H inner products of two stacks of fields, one per leading index
-    return g.cell_volume * np.sum(a * b, axis=tuple(range(-g.d, 0)))
-
-
-def _sq_h(g, x):
-    return _inner_h(g, x, x)
-
-
-def _sq_semi(g, x):
-    return g.cell_volume * _face_diff_sq(x, g.dx, g.d)
-
-
-def _sq_v(g, x):
-    return _sq_semi(g, x) + _sq_h(g, x)
+def _level_sum(parts):
+    """The sum of the per-level values of every block, added one level at a time in level order."""
+    return float(np.cumsum(np.concatenate(parts))[-1])  # an accumulation is sequential, never pairwise
 
 
 def build_ledger(traj, b):
     """Accumulate the twelve ledger quantities from a finished trajectory.
 
     The steps are taken in blocks of levels, slices of the trajectory's
-    arrays. q1 and q9 are Parseval sums on the DCT-II modes; every other
+    arrays, and each summed quantity adds its per-level values in level
+    order. q1 and q9 are Parseval sums on the DCT-II modes; every other
     entry is a reduction over face differences, the stencil or the graph,
     which stay exact at any grid size.
     """
@@ -126,36 +116,39 @@ def build_ledger(traj, b):
     g = traj.grid
     h, eps, lam = params.h, params.eps, params.lam
     led = DiagnosticsLedger(eps, lam, h, b.family, params.eta)
-    spatial = tuple(range(-g.d, 0))
 
-    def sq_dual(x, shift):
-        # summed squared dual norms of the stacked fields
-        w = dual_coefficients(g, x, shift)
-        return float(np.sum(w * w))
+    def sq_dual(x, shift):  # the squared dual norm of each stacked field
+        return _sum(g, np.square(dual_coefficients(g, x, shift)))
 
+    summed = {name: [] for name in ("q1", "q2", "q4", "q7", "q8", "q9", "q10", "q11", "q12")}
     for _, _, u, mu in _state_blocks(traj):
         du = (u[1:] - u[:-1]) / h
         dmu = (mu[1:] - mu[:-1]) / h
         u1, m1 = u[1:], mu[1:]
-        du_h = _sq_h(g, du)
+        du_h = _pair(g, du, du)
         u1_v = _sq_v(g, u1)
         m1_semi = _sq_semi(g, m1)
-
-        led.q1 += h * sq_dual(du + h * dmu, 0.0)
-        led.q2 += h * float(np.sum(du_h))
-        led.q4 += h * float(np.sum(_sq_semi(g, du) + du_h))
-        led.q7 += h * float(np.sum(_sq_h(g, dmu)))
-        led.q9 += h * sq_dual(du, 1.0)
+        lap = _laplacian(u1, g.dx, g.d)
+        bu = nl.beta_eval(b, u1)
+        for name, value in {
+            "q1": sq_dual(du + h * dmu, 0.0),
+            "q2": du_h,
+            "q4": _sq_semi(g, du) + du_h,
+            "q7": _pair(g, dmu, dmu),
+            "q8": m1_semi,
+            "q9": sq_dual(du, 1.0),
+            "q10": _pair(g, lap, lap) + u1_v,
+            "q11": _pair(g, bu, bu),
+            "q12": m1_semi + _pair(g, m1, m1),
+        }.items():
+            summed[name].append(h * value)
 
         led.q3 = max(led.q3, float(np.max(u1_v)))
-        # squared twice, not u1**4: a power of a negative base goes through libm pow
-        led.q5 = max(led.q5, float(np.max(g.cell_volume * np.sum(np.square(np.square(u1)), axis=spatial))))
-        led.q6 = max(led.q6, float(np.max(_sq_h(g, m1))))
-        led.q8 += h * float(np.sum(m1_semi))
-        led.q10 += h * float(np.sum(_sq_h(g, _laplacian(u1, g.dx, g.d)) + u1_v))
-        led.q11 += h * float(np.sum(_sq_h(g, nl.beta_eval(b, u1))))
-        led.q12 += h * float(np.sum(m1_semi + _sq_h(g, m1)))
+        led.q5 = max(led.q5, float(np.max(_quartic(g, u1))))
+        led.q6 = max(led.q6, float(np.max(_pair(g, m1, m1))))
 
+    for name, parts in summed.items():
+        setattr(led, name, _level_sum(parts))
     led.q2 *= lam
     led.q3 *= eps
     led.q4 *= eps * h
@@ -193,6 +186,10 @@ def identity_report(traj, b, p, tol=1e-10):
       equation with the density increment;
     * the conservation of the mean of u + h*mu.
 
+    The energy row's defect is the part of |lhs - sum(terms)| above its
+    evaluation floor, relative to max(|lhs|, sum|terms|): that scale falls
+    like |du|^2 near a steady state, the roundoff of the terms only like |du|.
+
     The steps are taken in the ledger's blocks of levels. A trajectory
     without sources (one reloaded from CSV) is unforced.
     """
@@ -200,35 +197,49 @@ def identity_report(traj, b, p, tol=1e-10):
     g = traj.grid
     h, eps, lam = params.h, params.eps, params.lam
     spatial = tuple(range(-g.d, 0))
-    m_init = g.cell_volume * float(np.sum(traj.u[0]))
-    dist_sq = dot_sq = increment = energy = mass = 0.0
+    m_init = _total(g, traj.u[0])
+    dist_sq, dot_sq = [], []
+    increment = energy = mass = 0.0
+    # the energy row's floor per unit of the magnitudes it cancels: c roundings on
+    # the longest path to a term, up to 3 forming a factor, 2 for the product and
+    # the cell volume, at most log2(node_count) + 19 in NumPy's pairwise sum (8
+    # accumulators of 16, a tree of depth 3, halving), 3 for the V norm, 5 adding
+    floor = (math.log2(g.node_count) + 32) * np.finfo(float).eps
     for start, stop, u, mu in _state_blocks(traj):
         u0, u1, mu1 = u[:-1], u[1:], mu[1:]
         du = u1 - u0
 
         # on each interval u_bar - u_hat runs linearly from u1 - u0 to 0
-        dist_sq += float(np.sum(_sq_h(g, du)))
-        dot_sq += float(np.sum(_sq_h(g, du / h)))
+        udot_h = _pair(g, du / h, du / h)
+        dist_sq.append(_pair(g, du, du))
+        dot_sq.append(udot_h)
 
         gap = np.max(np.abs(h * (du / h) - du), axis=spatial)
         increment = max(increment, float(np.max(gap / np.maximum(1.0, np.max(np.abs(du), axis=spatial)))))
 
         f1 = 0.0 if traj.f is None else traj.f[start:stop]
-        lhs = _inner_h(g, du, mu1)
+        bu = nl.beta_eval(b, u1)
+        rest = nl.pi_eval(p, eps, u1) - f1 - eps * u1
+        u1_v, u0_v, du_v = _sq_v(g, u1), _sq_v(g, u0), _sq_v(g, du)
+        lhs = _pair(g, du, mu1)
         terms = [
-            lam * h * _sq_h(g, du / h),
-            0.5 * eps * (_sq_v(g, u1) - _sq_v(g, u0) + _sq_v(g, du)),
-            _inner_h(g, nl.beta_eval(b, u1), du),
-            _inner_h(g, nl.pi_eval(p, eps, u1) - f1 - eps * u1, du),
+            lam * h * udot_h,
+            0.5 * eps * (u1_v - u0_v + du_v),
+            _pair(g, bu, du),
+            _pair(g, rest, du),
         ]
         scale = np.maximum(np.maximum(np.abs(lhs), sum(np.abs(t) for t in terms)), 1e-300)
-        energy = max(energy, float(np.max(np.abs(lhs - sum(terms)) / scale)))
+        # the V norms of the eps term and, by Cauchy-Schwarz, the norm products of the pairings
+        pairs = np.sqrt(dist_sq[-1]) * sum(np.sqrt(_pair(g, x, x)) for x in (mu1, bu, rest))
+        cancelled = 0.5 * eps * (u1_v + u0_v + du_v) + np.abs(terms[0]) + pairs
+        excess = np.maximum(np.abs(lhs - sum(terms)) - floor * cancelled, 0.0)
+        energy = max(energy, float(np.max(excess / scale)))
 
-        m = g.cell_volume * np.sum(u + h * mu, axis=spatial)
+        m = _total(g, u + h * mu)
         mass = max(mass, float(np.max(np.abs(m - m_init))) / max(1.0, abs(m_init)))
 
-    lhs = h * dist_sq / 3.0
-    rhs = (h**2 / 3.0) * h * dot_sq
+    lhs = h * _level_sum(dist_sq) / 3.0
+    rhs = (h**2 / 3.0) * h * _level_sum(dot_sq)
     dist = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return [
         ("ubar_uhat_l2_identity", dist, dist <= tol),
@@ -243,9 +254,9 @@ def identity_report(traj, b, p, tol=1e-10):
 
 
 def smoothed_random_field(g, rng, opts=None, scale=1.0):
-    """White nodal noise pushed twice through the shifted solve (a W-regular field)."""
+    """White nodal noise pushed twice through the shifted solve (a W-regular field), an array."""
     smooth = helmholtz_solve(g, helmholtz_solve(g, rng.standard_normal(g.shape), opts), opts)
-    return Field(g, smooth * float(scale))
+    return smooth * float(scale)
 
 
 @dataclass
@@ -278,9 +289,9 @@ def check_pt_inequality(g, b, taus, trials, seed=0, opts=None):
         for _ in range(trials):
             u = smoothed_random_field(g, rng, opts)
             lap_u = laplacian_apply(g, u)
-            bt = Field(g, nl.yosida(b, tau, u.values))
-            pairing = inner_h(-1.0 * lap_u, bt)
-            scale = max(norm_h(lap_u) * norm_h(bt), 1e-300)
+            bt = nl.yosida(b, tau, u)
+            pairing = inner_h(g, -lap_u, bt)
+            scale = max(norm_h(g, lap_u) * norm_h(g, bt), 1e-300)
             worst = min(worst, pairing)
             worst_norm = min(worst_norm, pairing / scale)
         per_tau[tau] = (worst, worst_norm)

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinearity as nl
-from .grid import _laplacian, _on_grid
+from .grid import _laplacian, _on_grid, _pair, _total
 
 __all__ = [
     "SolverOptions",
@@ -242,13 +242,17 @@ def _checked_solve(g, b, shift, alpha, tol, what, x=None):
     # check, which grants the residual's evaluation floor eps_mach*|A|_2*|x| on
     # top of the caller's tol (normwise backward error, Higham 2002, 7.1-7.2).
     # An x already applied from the same table is checked, not applied again.
-    # Written as ``not rnorm <= limit`` so that a NaN residual fails.
+    # Written as ``not rnorm <= limit`` so that a NaN residual fails; so does
+    # a limit whose squares overflowed, which any residual would meet.
     if x is None:
         x = _dct_apply(b, _inverse_symbol(g.d, g.n, shift, alpha))
     rnorm = float(np.linalg.norm(b - (shift * x - alpha * _laplacian(x, g.dx))))
     op_norm = shift - alpha * float(_eigenvalues(g.d, g.n).min())
-    if not rnorm <= tol + 8.0 * np.finfo(float).eps * op_norm * float(np.linalg.norm(x)):
+    limit = tol + 8.0 * np.finfo(float).eps * op_norm * float(np.linalg.norm(x))
+    if not rnorm <= limit:
         raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
+    if limit == np.inf:
+        raise SolverFailure(f"{what} solve residual check overflows: its tolerance is inf", residual=rnorm)
     return x
 
 
@@ -260,7 +264,7 @@ def _shifted_solve(g, b, alpha, opts, x=None):
 
 def _mean_free(g, a, what):
     _on_grid(g, a)
-    m = g.cell_volume * float(np.sum(a))
+    m = _total(g, a)
     if abs(m) > 1e-10:
         raise CompatibilityError(f"{what} must have zero average, got {m:.3e}")
 
@@ -349,9 +353,10 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
     ValueError
         If the stepsize condition fails (precondition).
     StepFailure
-        On a start whose residual is not finite, on stagnation at the
-        damping floor, on the iteration cap, or on a Newton direction whose
-        CG misses its tolerance; carries the residual history.
+        On a start whose residual is not finite, on a tolerance or a
+        residual norm that overflows, on stagnation at the damping floor,
+        on the iteration cap, or on a Newton direction whose CG misses its
+        tolerance; carries the residual history.
     SolverFailure
         If v misses the shifted solve's residual check.
 
@@ -375,8 +380,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         raise ValueError(f"stepsize condition violated: h={h:.6g} must be below {params.stepsize_bound:.6g}")
     _on_grid(g, rhs, warm)
     k_mult = _inverse_symbol(g.d, g.n, 1.0, 1.0)
-    # norm_h's formula, so the tolerance is bitwise that of a Field's H norm
-    tol = opts.newton_tol * max(1.0, np.sqrt(g.cell_volume * float(np.dot(rhs.ravel(), rhs.ravel()))))
+    tol = opts.newton_tol * max(1.0, np.sqrt(_pair(g, rhs, rhs)))
     history = []
 
     def residual(uu, ku=None):
@@ -397,9 +401,12 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         if not np.array_equal(u, warm):
             k_warm = None
     r1, ku = residual(u, k_warm)
-    rn = _hnorm(g, r1)
+    rn = np.sqrt(_pair(g, r1, r1))
     if not np.all(np.isfinite(r1)):
         raise StepFailure("Newton start has a non-finite residual", residual=rn)
+    # each acceptance below compares a norm with these limits; inf <= inf would pass
+    if not (rn < np.inf and tol < np.inf):
+        raise StepFailure(f"Newton start overflows: residual H norm {rn:.3e}, tolerance {tol:.3e}", residual=rn)
     for _ in range(opts.max_newton):
         if rn <= tol:
             break
@@ -418,7 +425,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
             except nl.OutOfDomainError:
                 theta *= 0.5
                 continue
-            rt = _hnorm(g, r1t)
+            rt = np.sqrt(_pair(g, r1t, r1t))
             if rt <= (1.0 - 0.25 * theta) * rn or rt <= tol:
                 u, r1, rn, ku = ut, r1t, rt, kut
                 history.append(rn)
@@ -443,7 +450,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         try:
             ut = u + direction(u, r1, rn)
             r1t, kut = residual(ut)
-            rt = _hnorm(g, r1t)
+            rt = np.sqrt(_pair(g, r1t, r1t))
         except (StepFailure, nl.OutOfDomainError):
             rt = np.inf
         if rt < rn:
@@ -453,10 +460,6 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
 
 # relative residual at which a Newton direction counts as solved
 _PCG_RTOL = 1e-13
-
-
-def _hnorm(g, vec):
-    return float(np.sqrt(g.cell_volume * np.vdot(vec, vec)))
 
 
 def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
@@ -477,6 +480,8 @@ def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return x
+    if not rhs_norm < np.inf:  # an infinite stop would accept any CG residual
+        raise StepFailure("Newton direction right-hand side overflows: its norm is not finite", residual=rn, history=history)
     stop = _PCG_RTOL * rhs_norm
     sym = k_mult - diffusion * _eigenvalues(g.d, g.n)
     c0 = float(coef.min())

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import LEDGER_COLUMNS, _blocks, build_ledger
+from .diagnostics import LEDGER_COLUMNS, _blocks, _level_sum, build_ledger
 from .elliptic import SolverFailure, SolverOptions, dual_coefficients
+from .grid import _pair, _sum
 from .scheme import run
 
 __all__ = [
@@ -102,23 +103,22 @@ def _uhat_diff_norms(traj_a, traj_b):
     (ip(a,a) + ip(a,b) + ip(b,b))/3 per segment. The breakpoints are taken
     in blocks, each gathered by ``_uhat_at``, and each pairing
     ip(a,b) = (a, (I - Lap)^(-1) b)_h is the sum of products of the
-    ``dual_coefficients`` of a and b.
+    ``dual_coefficients`` of a and b. The segments' integrals are added one
+    segment at a time, in time order.
     """
     g = traj_a.grid
-    spatial = tuple(range(-g.d, 0))
     # np.union1d of the two sorted time grids, without np.unique (which imports numpy.ma)
     breaks = np.sort(np.concatenate([traj_a.times, traj_b.times]))
     breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
-    linf_sq = l2v = 0.0
+    linf_sq, segments = 0.0, []
     for start, stop in _blocks(len(breaks) - 1, g.node_count):
         ts = breaks[start : stop + 1]
         diff = _uhat_at(traj_a, ts) - _uhat_at(traj_b, ts)
-        linf_sq = max(linf_sq, float(np.max(np.sum(diff * diff, axis=spatial))))
+        linf_sq = max(linf_sq, float(np.max(_pair(g, diff, diff))))
         w = dual_coefficients(g, diff, 1.0)
-        own = np.sum(w * w, axis=spatial)
-        cross = np.sum(w[:-1] * w[1:], axis=spatial)
-        l2v += float(np.sum(np.diff(ts) * (own[:-1] + cross + own[1:]))) / 3.0
-    return float(np.sqrt(g.cell_volume * linf_sq)), float(np.sqrt(max(l2v, 0.0)))
+        own = _sum(g, w * w)
+        segments.append(np.diff(ts) * (own[:-1] + _sum(g, w[:-1] * w[1:]) + own[1:]))
+    return float(np.sqrt(linf_sq)), float(np.sqrt(max(_level_sum(segments) / 3.0, 0.0)))
 
 
 def check_levels(axis, base_scenario, levels):

@@ -352,10 +352,11 @@ def _scan_points(b, n_scan, r_max=4.0):
     return np.sort(np.concatenate([np.linspace(lo, hi, n_scan), extra]))
 
 
-def validate_assumptions(b, p, u0, g_probes=(), n_scan=10000):
+def validate_assumptions(g, b, p, u0, g_probes=(), n_scan=10000):
     """Machine checks of the standing structural assumptions.
 
-    Returns a report with one entry per assumption; failures are entries,
+    ``u0`` and each probe are arrays on the grid ``g``, which checks A3 and
+    A5 average over. Returns a report with one entry per assumption; failures are entries,
     never exceptions. The scan is fixed: a uniform grid of ``n_scan`` points
     plus ``n_scan // 10`` golden-ratio points on the same interval, so the
     report is deterministic and draws no random numbers.
@@ -418,7 +419,7 @@ def validate_assumptions(b, p, u0, g_probes=(), n_scan=10000):
 
     # A3: mass-free source probes
     if g_probes:
-        means = [abs(mean(gk)) for gk in g_probes]
+        means = [abs(mean(g, gk)) for gk in g_probes]
         worst = max(means)
         k = means.index(worst)
         checks.append(
@@ -441,16 +442,16 @@ def validate_assumptions(b, p, u0, g_probes=(), n_scan=10000):
     )
 
     # A5: admissible initial datum
-    m0 = mean(u0)
+    m0 = mean(g, u0)
     lo, hi = b.domain
     interior_ok = lo < m0 < hi
     try:
-        beta_hat_eval(b, u0.values)
+        beta_hat_eval(b, u0)
         finite_ok = True
         witness = m0
     except OutOfDomainError:
         finite_ok = False
-        witness = float(u0.values.ravel()[np.argmax(np.abs(u0.values))])
+        witness = float(np.ravel(u0)[np.argmax(np.abs(u0))])
     margin = min(m0 - lo, hi - m0) if b.bounded else np.inf
     checks.append(
         AssumptionCheck(

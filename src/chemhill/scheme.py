@@ -25,10 +25,10 @@ potential is identically zero and the initial density is the smoothed
 datum.
 
 A trajectory is three arrays u, mu and v of shape (N+1,) + grid.shape,
-level n at row n, which ``run`` fills row by row. A step takes and
-returns arrays, as ``elliptic``'s solvers do, and builds no ``Field``;
-it checks once that its new arrays are finite, the guard that ``Field``
-(the user-facing grid function) gives its entries.
+level n at row n, which ``run`` fills row by row. The datum and the
+sources are arrays of shape grid.shape too, which ``run`` checks once for
+shape and finiteness. A step takes and returns arrays, as ``elliptic``'s
+solvers do, and checks once that its new arrays are finite.
 
 Besides the marching loop this module holds the trajectory CSV format and
 the vectorized '%.17g' formatter that writes it.
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elliptic import SolverFailure, SolverOptions, helmholtz_solve, neumann_poisson_solve, step_solve
-from .grid import Field, _read_node_csv, advective_divergence
+from .grid import _read_node_csv, advective_divergence
 from .nonlinearity import validate_assumptions
 
 __all__ = [
@@ -135,17 +135,17 @@ class Trajectory:
 class Scenario:
     """Everything a run needs: grid, parameters, graphs, datum, source.
 
-    ``source`` is None (no forcing) or an object with attribute ``kind`` in
-    {"f", "g"} that is callable as source(t, grid) -> Field; kind "g" means
-    a mass-free density source whose potential is solved for, kind "f" a
-    ready-made potential forcing.
+    ``u0`` is an array of shape ``grid.shape``; ``source`` is None (no
+    forcing) or has a ``kind`` in {"f", "g"} and is callable as
+    source(t, grid) -> such an array. Kind "g" is a mass-free density
+    source whose potential is solved for, kind "f" a ready-made forcing.
     """
 
     grid: object
     params: SimParams
     beta: object
     pi: object
-    u0: Field
+    u0: np.ndarray
     source: object = None
     smooth_u0: bool = True
 
@@ -154,7 +154,7 @@ class Scenario:
 
 
 def average_sources(provider, params, grid):
-    """Interval averages of a time-dependent field by midpoint sampling.
+    """Interval averages of a time-dependent field by midpoint sampling, one array per step.
 
     Midpoint sampling integrates exactly anything linear in t per interval
     (and any provider that is constant on the step intervals), which is one
@@ -189,7 +189,9 @@ def step(g, u, mu, v, f_next, params, b, p, opts=None):
 def run(scenario, opts=None):
     """March the full scheme and return the trajectory.
 
-    The structural assumptions are re-validated first and a failure there
+    The datum and every source average must be finite arrays of shape
+    ``grid.shape`` (a flat one is not reshaped), else ValueError names it.
+    The structural assumptions are re-validated next and a failure there
     raises before any stepping. A step failure mid-run re-raises with its
     ``step_index`` k and the partial trajectory of levels 0..k attached to
     the exception. Every step calls the module's ``step``.
@@ -198,23 +200,29 @@ def run(scenario, opts=None):
     g = scenario.grid
     params = scenario.params
     params.validate()
+    sources = [] if scenario.source is None else average_sources(scenario.source, params, g)
+    named = [("initial datum u0", scenario.u0)] + [(f"source average of step {k}", x) for k, x in enumerate(sources)]
+    for what, x in named:
+        if np.shape(x) != g.shape:
+            raise ValueError(f"{what} has shape {np.shape(x)}, expected the grid's {g.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} holds non-finite entries")
 
     f, probes = None, []
-    if scenario.source is not None:
-        sources = average_sources(scenario.source, params, g)
+    if sources:
         if scenario.source.kind == "g":
             probes = sources
-            f = np.stack([neumann_poisson_solve(g, gk.values, opts) for gk in probes])
+            f = np.stack([neumann_poisson_solve(g, gk, opts) for gk in probes])
         else:
-            f = np.stack([fk.values for fk in sources])
+            f = np.stack(sources)
 
-    report = validate_assumptions(scenario.beta, scenario.pi, scenario.u0, probes)
+    report = validate_assumptions(g, scenario.beta, scenario.pi, scenario.u0, probes)
     if not report.passed:
         raise ValueError("assumption validation failed: " + ", ".join(report.failed_names()))
 
     shape = (params.N + 1,) + g.shape
     u, mu, v = np.empty(shape), np.empty(shape), np.empty(shape)
-    u[0] = scenario.u0.values
+    u[0] = scenario.u0
     if scenario.smooth_u0:
         u[0] = helmholtz_solve(g, u[0], opts, alpha=params.eps)
     mu[0] = 0.0

@@ -11,13 +11,15 @@ are ``scipy.fft`` solves refined against the dense stencil, with K mu_n
 and K adv_n solved separately, and dual norms, the ledger and the study
 differences evaluated one step at a time, each dual norm through a checked
 linear solve instead of a spectral sum, and the ledger's other terms from
-``np.diff`` face differences and the dense stencil. The pointwise time
+``np.diff`` face differences and the dense stencil. The grid norms are
+exactly rounded ``math.fsum`` sums over ravelled fields. The pointwise time
 reconstructions of a run (linear and one-sided constant) are evaluated
 one time at a time, located against the level times.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -224,26 +226,42 @@ def four_solve_step(g, u, mu, v, f_next, params, b, p, opts):
     return u_next, mu_next, refined_shifted_solve(u_next)
 
 
+def fsum_pair(g, a, b):
+    """(a, b)_h of two fields as an exactly rounded sum, ``math.fsum`` over the ravelled products."""
+    return g.cell_volume * math.fsum((np.ravel(a) * np.ravel(b)).tolist())
+
+
+def fsum_norms(g, x):
+    """The grid norms of one field from exactly rounded sums over its ravel and its face differences."""
+    faces = math.fsum(math.fsum((np.ravel(np.diff(x, axis=a)) ** 2).tolist()) for a in range(g.d))
+    semi_sq = g.cell_volume * faces / g.dx**2
+    h_sq = fsum_pair(g, x, x)
+    return {
+        "norm_h": math.sqrt(h_sq),
+        "norm_l4": (g.cell_volume * math.fsum((np.ravel(x) ** 4).tolist())) ** 0.25,
+        "seminorm_v": math.sqrt(semi_sq),
+        "norm_v": math.sqrt(semi_sq + h_sq),
+        "mean": g.cell_volume * math.fsum(np.ravel(x).tolist()),
+    }
+
+
 def solve_vstar_norm(g, r, opts=None):
     """sqrt((r, (I - Lap)^(-1) r)_h) through the package's checked shifted solve."""
     from chemhill.elliptic import helmholtz_solve
-    from chemhill.grid import Field, inner_h
 
-    return float(np.sqrt(max(inner_h(r, Field(g, helmholtz_solve(g, r.values, opts))), 0.0)))
+    return float(np.sqrt(max(fsum_pair(g, r, helmholtz_solve(g, r, opts)), 0.0)))
 
 
 def solve_v0star_norm(g, r, opts=None):
     """sqrt((r, (-Lap)^(-1) r)_h) through the package's checked mean-zero Poisson solve."""
     from chemhill.elliptic import neumann_poisson_solve
-    from chemhill.grid import Field, inner_h
 
-    return float(np.sqrt(max(inner_h(r, Field(g, neumann_poisson_solve(g, r.values, opts))), 0.0)))
+    return float(np.sqrt(max(fsum_pair(g, r, neumann_poisson_solve(g, r, opts)), 0.0)))
 
 
 def per_step_ledger(traj, b, opts=None):
     """The twelve ledger entries, one step at a time, with solve-based dual norms."""
     from chemhill.diagnostics import DiagnosticsLedger
-    from chemhill.grid import Field
     from chemhill.nonlinearity import beta_eval
 
     params, g = traj.params, traj.grid
@@ -267,11 +285,11 @@ def per_step_ledger(traj, b, opts=None):
         du = (u1 - u0) / h
         dmu = (m1 - m0) / h
         z = du + h * dmu
-        led.q1 += h * solve_v0star_norm(g, Field(g, z - z.mean()), opts) ** 2
+        led.q1 += h * solve_v0star_norm(g, z - z.mean(), opts) ** 2
         led.q2 += h * sq_h(du)
         led.q4 += h * sq_v(du)
         led.q7 += h * sq_h(dmu)
-        led.q9 += h * solve_vstar_norm(g, Field(g, du), opts) ** 2
+        led.q9 += h * solve_vstar_norm(g, du, opts) ** 2
         led.q3 = max(led.q3, sq_v(u1))
         led.q5 = max(led.q5, g.cell_volume * float(np.sum(u1**4)))
         led.q6 = max(led.q6, sq_h(m1))
@@ -298,16 +316,14 @@ class Reconstruction:
     [0, T] is an error. The endpoint conventions follow the interval-interior
     definitions: u_bar(0) is the first interval's value, u_under(T) the last
     one's. Times are located against the level times themselves, and the
-    linear blend is ``Field`` arithmetic.
+    linear blend is array arithmetic on one level at a time.
     """
 
     def __init__(self, traj):
-        from chemhill.grid import Field
-
         self.N, self.T, self.h = traj.params.N, traj.params.T, traj.params.h
         self.levels = np.arange(self.N + 1) * self.h
-        self._u = [Field(traj.grid, x) for x in traj.u]
-        self._mu = [Field(traj.grid, x) for x in traj.mu]
+        self._u = list(traj.u)
+        self._mu = list(traj.mu)
 
     def locate(self, t):
         """(n, s) with t = (n + s)*h: s == 0 exactly at a level, else 0 < s < 1."""
@@ -348,20 +364,20 @@ class Reconstruction:
 def solve_uhat_diff_norms(traj_a, traj_b, opts=None):
     """Linf(0,T;H) and L2(0,T;dual) distance of two linear reconstructions, break by break.
 
-    Each breakpoint's difference is a ``Field`` from :class:`Reconstruction`,
-    and each dual pairing uses a checked shifted solve.
+    Each breakpoint's difference is an array from :class:`Reconstruction`,
+    each norm and pairing an exactly rounded sum, and each dual pairing uses
+    a checked shifted solve.
     """
     from chemhill.elliptic import helmholtz_solve
-    from chemhill.grid import Field, inner_h, norm_h
 
     g = traj_a.grid
     rec_a, rec_b = Reconstruction(traj_a), Reconstruction(traj_b)
     breaks = np.union1d(rec_a.levels, rec_b.levels)
     fields = [rec_a.u_hat(t) - rec_b.u_hat(t) for t in breaks]
-    solved = [Field(g, helmholtz_solve(g, f.values, opts)) for f in fields]
+    solved = [helmholtz_solve(g, f, opts) for f in fields]
     l2v = 0.0
     for k in range(len(breaks) - 1):
         dt = breaks[k + 1] - breaks[k]
-        pairs = inner_h(fields[k], solved[k]) + inner_h(fields[k], solved[k + 1])
-        l2v += dt * (pairs + inner_h(fields[k + 1], solved[k + 1])) / 3.0
-    return float(max(norm_h(f) for f in fields)), float(np.sqrt(max(l2v, 0.0)))
+        pairs = fsum_pair(g, fields[k], solved[k]) + fsum_pair(g, fields[k], solved[k + 1])
+        l2v += dt * (pairs + fsum_pair(g, fields[k + 1], solved[k + 1])) / 3.0
+    return float(max(fsum_norms(g, f)["norm_h"] for f in fields)), float(np.sqrt(max(l2v, 0.0)))

@@ -12,7 +12,7 @@ import pytest
 import chemhill as ch
 from chemhill.cli import main as cli_main
 from chemhill.diagnostics import check_pt_inequality, identity_report
-from chemhill.grid import Field, inner_h, laplacian_apply, make_grid, norm_v
+from chemhill.grid import inner_h, laplacian_apply, make_grid, norm_v
 from chemhill.limits import study
 from chemhill.nonlinearity import beta_eval, pi_eval, resolvent, yosida
 from chemhill.scheme import Scenario, SimParams, run
@@ -30,7 +30,7 @@ def report(k, label, ok, detail=""):
 
 
 def cosine_field(g, amp=1.0):
-    return Field(g, amp * np.cos(np.pi * g.axis))
+    return amp * np.cos(np.pi * g.axis)
 
 
 def test_criterion_1_exact_identity_suite():
@@ -68,7 +68,7 @@ def test_criterion_2_analytic_mode_decay():
             params=params,
             beta=ch.BetaSpec("linear"),
             pi=ch.PiSpec("zero"),
-            u0=Field(g, phi),
+            u0=phi,
             smooth_u0=False,
         )
         traj = run(sc, TIGHT)
@@ -106,19 +106,19 @@ def test_criterion_4_monotone_coercivity_probe():
         b = ch.BetaSpec("power", m=3)
         graph = (lambda x: beta_eval(b, x)) if variant == "exact" else (lambda x: yosida(b, 1e-3, x))
         for _ in range(1000):
-            u = Field(g, rng.standard_normal(g.shape))
-            w = Field(g, rng.standard_normal(g.shape))
+            u = rng.standard_normal(g.shape)
+            w = rng.standard_normal(g.shape)
 
             def apply_op(x):
                 return (
                     lam * x
-                    + Field(g, ch.helmholtz_solve(g, x.values))
+                    + ch.helmholtz_solve(g, x)
                     - eps * h * laplacian_apply(g, x)
-                    + h * Field(g, graph(x.values))
-                    + h * Field(g, pi_eval(p, eps, x.values))
+                    + h * graph(x)
+                    + h * pi_eval(p, eps, x)
                 )
 
-            gain = inner_h(apply_op(u) - apply_op(w), u - w) - const * norm_v(u - w) ** 2
+            gain = inner_h(g, apply_op(u) - apply_op(w), u - w) - const * norm_v(g, u - w) ** 2
             worst = min(worst, gain)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-10 and elapsed < 30.0

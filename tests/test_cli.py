@@ -195,7 +195,7 @@ def test_every_field_round_trips_through_its_key():
 def test_build_scenario_materializes_fields():
     sc = build_scenario(parse_config(RUNNABLE))
     assert sc.grid.n == 48
-    assert sc.u0.values.shape == (48,)
+    assert sc.u0.shape == (48,)
     assert sc.source is None
     assert sc.smooth_u0 is False
 
@@ -338,7 +338,7 @@ def test_csv_initial_and_series_source(tmp_path):
     )
     cfg = parse_config(text)
     sc = build_scenario(cfg)
-    assert np.max(np.abs(sc.u0.values - load_field_csv(g, field_path).values)) == 0.0
+    assert np.max(np.abs(sc.u0 - load_field_csv(g, field_path))) == 0.0
     assert sc.source.kind == "g"
     out = tmp_path / "run"
     assert dispatch("simulate", cfg, outdir=out) == 0
@@ -717,21 +717,41 @@ def test_check_identities_on_a_constant_datum(tmp_path, capsys):
     assert capsys.readouterr().out.count("pass") == 4
 
 
-# eta = 1e300 overflows five ledger entries to inf; no artifact carries them
+# a linear graph from a datum of amplitude 1e100, without transport: every
+# solve stays finite, but the quartic q5 overflows to inf; no artifact carries it
+_HUGE_DATUM = (
+    RUNNABLE.replace("n = 48", "n = 16")
+    .replace("eta = 0.5", "eta = 0")
+    .replace("family = power\nm = 3\nc1 = 0.25\nc2 = 0", "family = linear")
+    .replace("k = 1\n", "k = 1\namplitude = 1e100\n")
+    + "\n[study]\nh_levels = 4, 8\n"
+)
+# eta = 1e300 overflows the transport term of the first step, so the first
+# shifted solve's residual check overflows and the run fails closed
 _HUGE_ETA = RUNNABLE.replace("n = 48", "n = 16").replace("eta = 0.5", "eta = 1e300") + "\n[study]\nh_levels = 4, 8\n"
+_ETA_OVERFLOW = "shifted Neumann solve residual check overflows: its tolerance is inf"
 
 
-@pytest.mark.parametrize("command", ["simulate", "study-h"])
-def test_main_nonfinite_ledger_exit_one(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, text, message, wrote",
+    [
+        ("simulate", _HUGE_DATUM, "simulate failed: ledger entries q5 are not finite", False),
+        ("study-h", _HUGE_DATUM, "study-h failed: level 0.025 entries q5 are not finite", False),
+        ("simulate", _HUGE_ETA, f"simulate failed at step 0: {_ETA_OVERFLOW}", False),
+        # a failed level ends the study, whose table of no finished level is written
+        ("study-h", _HUGE_ETA, f"level 0.025: FAILED ({_ETA_OVERFLOW})", True),
+    ],
+)
+def test_main_nonfinite_ledger_exit_one(tmp_path, capsys, command, text, message, wrote):
     conf = tmp_path / "huge.ini"
-    conf.write_text(_HUGE_ETA)
+    conf.write_text(text)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, "--config", str(conf), "--out", str(out)]) == 1
-    assert not out.exists()
+    assert out.exists() == wrote
     captured = capsys.readouterr()
-    assert "q1, q6, q7, q8, q12 are not finite" in captured.out
+    assert message in captured.out
     assert not caught and "Warning" not in captured.err
 
 
@@ -749,7 +769,7 @@ def test_parallel_study_workers_print_no_numpy_warning(tmp_path):
     )
     done = _run_probe(probe)
     assert done.returncode == 1, done.stderr
-    assert "q1, q6, q7, q8, q12 are not finite" in done.stdout
+    assert f"level 0.025: FAILED ({_ETA_OVERFLOW})" in done.stdout
     assert done.stderr == ""
 
 
@@ -769,11 +789,12 @@ _FUZZ_KEYS = {
     ("initial", "preset"): (["constant", "cosine", "bump"], ["csv"]),
     ("initial", "c"): (["0", "0.5", "0.99999999"], ["1.5", "nan"]),
     ("initial", "k"): (["1", "3"], ["0"]),
-    ("initial", "amplitude"): (["0.5", "0.9", "1"], ["1e300", "nan"]),
+    # from 1e155 the values stay finite but their squares overflow
+    ("initial", "amplitude"): (["0.5", "0.9", "1"], ["1e155", "1e160", "1e300", "nan"]),
     ("initial", "smooth"): (["true", "false"], []),
     ("source", "preset"): (["zero", "cosine_g"], []),
     ("source", "k"): (["1", "2"], ["0"]),
-    ("source", "amplitude"): (["0", "1"], ["1e300", "nan"]),
+    ("source", "amplitude"): (["0", "1"], ["1e155", "1e160", "1e300", "nan"]),
     ("solver", "lin_tol"): (["1e-11", "1e-14"], ["0", "nan"]),
     ("solver", "newton_tol"): (["1e-10", "1e-13"], ["0", "nan"]),
     ("study", "h_levels"): (["2, 4"], ["2.5, 4", "nan"]),

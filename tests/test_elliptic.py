@@ -21,7 +21,7 @@ from chemhill.elliptic import (
     v0star_norm,
     vstar_norm,
 )
-from chemhill.grid import Field, inner_h, laplacian_apply, make_grid, mean, norm_h, norm_v, seminorm_v
+from chemhill.grid import inner_h, laplacian_apply, make_grid, mean, norm_h, norm_v, seminorm_v
 from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval, pi_eval, yosida
 from chemhill.scheme import SimParams
 
@@ -78,12 +78,12 @@ def test_helmholtz_self_adjoint_and_contractive():
     g = make_grid(2, 16)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        r1 = Field(g, rng.standard_normal(g.shape))
-        r2 = Field(g, rng.standard_normal(g.shape))
-        k1, k2 = Field(g, helmholtz_solve(g, r1.values)), Field(g, helmholtz_solve(g, r2.values))
-        s1, s2 = inner_h(k1, r2), inner_h(r1, k2)
+        r1 = rng.standard_normal(g.shape)
+        r2 = rng.standard_normal(g.shape)
+        k1, k2 = helmholtz_solve(g, r1), helmholtz_solve(g, r2)
+        s1, s2 = inner_h(g, k1, r2), inner_h(g, r1, k2)
         assert abs(s1 - s2) <= 1e-11 * max(1.0, abs(s1))
-        assert norm_h(k1) <= norm_h(r1) + 1e-12
+        assert norm_h(g, k1) <= norm_h(g, r1) + 1e-12
 
 
 def test_neumann_poisson_mode_and_edge_cases():
@@ -91,7 +91,7 @@ def test_neumann_poisson_mode_and_edge_cases():
     vals = oracles.mode_values(g, 1)
     a = oracles.mode_eigenvalue(g.n, 1)
     w = neumann_poisson_solve(g, vals)
-    assert abs(mean(Field(g, w))) <= 1e-12
+    assert abs(mean(g, w)) <= 1e-12
     assert np.max(np.abs(w - vals / a)) <= 1e-10
     assert np.max(np.abs(w - vals / np.pi**2)) <= 1e-4
     zero = neumann_poisson_solve(g, np.zeros(g.shape))
@@ -103,13 +103,13 @@ def test_neumann_poisson_mode_and_edge_cases():
 def test_source_potential_weak_form():
     g = make_grid(1, 64)
     gv = np.pi**2 * oracles.mode_values(g, 1)
-    f = Field(g, neumann_poisson_solve(g, gv))
-    assert np.max(np.abs(f.values - oracles.mode_values(g, 1))) <= 2e-3
+    f = neumann_poisson_solve(g, gv)
+    assert np.max(np.abs(f - oracles.mode_values(g, 1))) <= 2e-3
     rng = np.random.default_rng(5)
     for _ in range(10):
-        z = Field(g, rng.standard_normal(g.shape))
-        lhs = -inner_h(laplacian_apply(g, f), z)
-        rhs = inner_h(Field(g, gv), z)
+        z = rng.standard_normal(g.shape)
+        lhs = -inner_h(g, laplacian_apply(g, f), z)
+        rhs = inner_h(g, gv, z)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -149,10 +149,10 @@ def test_dct_coefficients_match_scipy(d, n, kind):
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 24)])
 def test_dual_norms_match_solve_oracle(d, n, kind):
     g = make_grid(d, n)
-    r = Field(g, _dual_norm_data(g, kind, 7))
-    r0 = Field(g, r.values - r.values.mean())
-    assert vstar_norm(g, r.values) == pytest.approx(oracles.solve_vstar_norm(g, r), rel=1e-13)
-    assert v0star_norm(g, r0.values) == pytest.approx(oracles.solve_v0star_norm(g, r0), rel=1e-13)
+    r = _dual_norm_data(g, kind, 7)
+    r0 = r - r.mean()
+    assert vstar_norm(g, r) == pytest.approx(oracles.solve_vstar_norm(g, r), rel=1e-13)
+    assert v0star_norm(g, r0) == pytest.approx(oracles.solve_v0star_norm(g, r0), rel=1e-13)
 
 
 def test_dual_norms_closed_form_on_a_fine_grid():
@@ -160,10 +160,10 @@ def test_dual_norms_closed_form_on_a_fine_grid():
     # (r, K r)_h = |r|_h^2 / (1 - ev_k) and (r, (-Lap)^(-1) r)_h = |r|_h^2 / (-ev_k);
     # the spectral sums make no solve, so no residual check can fail on this grid
     g = make_grid(1, 2048)
-    r = Field(g, oracles.mode_values(g, 1))
+    r = oracles.mode_values(g, 1)
     ev = _eigenvalues(1, g.n)[1]
-    assert vstar_norm(g, r.values) ** 2 == pytest.approx(norm_h(r) ** 2 / (1.0 - ev), rel=1e-13)
-    assert v0star_norm(g, r.values) ** 2 == pytest.approx(norm_h(r) ** 2 / -ev, rel=1e-13)
+    assert vstar_norm(g, r) ** 2 == pytest.approx(norm_h(g, r) ** 2 / (1.0 - ev), rel=1e-13)
+    assert v0star_norm(g, r) ** 2 == pytest.approx(norm_h(g, r) ** 2 / -ev, rel=1e-13)
 
 
 @pytest.mark.parametrize("solver", ["shifted", "poisson", "step"])
@@ -197,7 +197,7 @@ def test_dual_coefficients_pair_as_the_solve_oracle():
     g = make_grid(2, 12)
     a, b = (_dual_norm_data(g, "random", seed) for seed in (1, 2))
     w = elliptic.dual_coefficients(g, np.stack([a, b]), 1.0)
-    want = inner_h(Field(g, a), Field(g, oracles.refined_shifted_solve(b)))
+    want = inner_h(g, a, oracles.refined_shifted_solve(b))
     assert float(np.sum(w[0] * w[1])) == pytest.approx(want, rel=1e-13)
     with pytest.raises(ValueError, match="grid mismatch"):
         elliptic.dual_coefficients(make_grid(2, 8), np.stack([a]), 1.0)
@@ -214,7 +214,7 @@ def test_step_solve_zero_rhs_gives_zero(family):
     rhs = np.zeros(g.shape)
     warm = 0.3 * np.sin(2 * np.pi * g.axis)
     u, _ = step_solve(g, params, BetaSpec(family), PiSpec("zero"), rhs, warm)
-    assert norm_h(Field(g, u)) <= 1e-10
+    assert norm_h(g, u) <= 1e-10
 
 
 def test_step_solve_matches_independent_linear_route():
@@ -261,7 +261,7 @@ def test_step_solve_warm_start_independence(family):
     opts = SolverOptions(newton_tol=1e-12)
     u1, _ = step_solve(g, params, BetaSpec(family), PiSpec("zero"), rhs, np.zeros(g.shape), opts)
     u2, _ = step_solve(g, params, BetaSpec(family), PiSpec("zero"), rhs, 0.4 * np.cos(np.pi * g.axis), opts)
-    assert norm_h(Field(g, u1 - u2)) <= 1e-9
+    assert norm_h(g, u1 - u2) <= 1e-9
 
 
 @pytest.mark.parametrize("family", ["logit", "abs_logit"])
@@ -277,7 +277,7 @@ def test_step_solve_reversed_saturated_start(family):
     u1, _ = step_solve(g, params, b, PiSpec("zero"), rhs, np.zeros(g.shape), opts)
     assert np.max(np.abs(u1)) > 0.99999
     u2, _ = step_solve(g, params, b, PiSpec("zero"), rhs, -0.99999 * np.sign(u1), opts)
-    assert norm_h(Field(g, u1 - u2)) <= 1e-9
+    assert norm_h(g, u1 - u2) <= 1e-9
 
 
 @pytest.mark.parametrize("shift", [1.0, 0.0], ids=["shifted", "poisson"])
@@ -288,6 +288,56 @@ def test_checked_solve_fails_on_a_non_finite_residual(shift):
     b[3] = np.inf
     with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="residual nan exceeds"):
         elliptic._checked_solve(g, b, shift, 1.0, 1.0, "probe")
+
+
+def test_step_solve_refuses_a_start_whose_norms_overflow():
+    # the residual's H norm and the tolerance both overflow to inf, and
+    # inf <= inf would accept the warm start unchanged
+    g = make_grid(1, 16)
+    rhs = 1e300 * np.cos(np.pi * g.axis)
+    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="Newton start overflows"):
+        step_solve(g, _params(), BetaSpec("power", m=3), PiSpec("zero"), rhs, np.zeros(g.shape))
+
+
+def test_checked_solve_refuses_a_tolerance_that_overflows():
+    # |b| overflows, so lin_tol * max(1, |b|) is inf and would pass a wrong x of zeros
+    g = make_grid(1, 16)
+    b = 1e155 * np.cos(np.pi * g.axis)
+    with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="shifted Neumann solve residual check overflows"):
+        elliptic._shifted_solve(g, b, 1.0, SolverOptions(), np.zeros(g.shape))
+    with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="overflows"):
+        helmholtz_solve(g, b)
+    # below the overflow the same check refuses the zeros
+    with pytest.raises(SolverFailure, match="residual 2.828e\\+150 exceeds"):
+        elliptic._shifted_solve(g, b / 1e5, 1.0, SolverOptions(), np.zeros(g.shape))
+
+
+def test_newton_direction_refuses_a_right_hand_side_that_overflows():
+    # an infinite CG stop would accept the first iterate
+    g = make_grid(1, 16)
+    k_mult = 1.0 / (1.0 - _eigenvalues(1, 16))
+    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="right-hand side overflows"):
+        elliptic._newton_direction(g, np.ones(g.shape), 1e-3, k_mult, np.full(g.shape, 1e160), 1.0, [])
+
+
+@settings(max_examples=40)
+@given(exponent=st.integers(-300, 300), family=st.sampled_from(["linear", "power"]), seed=st.integers(0, 2**32 - 1))
+def test_step_solve_meets_its_tolerance_or_raises(exponent, family, seed):
+    # over right-hand sides from 1e-300 to 1e300 a returned u has a finite
+    # recomputed residual within the finite tolerance; anything else raises
+    g = make_grid(1, 16)
+    params, b, p = _params(), BetaSpec(family, m=3), PiSpec("zero")
+    rhs = 10.0**exponent * np.random.default_rng(seed).uniform(-1.0, 1.0, g.shape)
+    opts = SolverOptions()
+    with np.errstate(all="ignore"):
+        try:
+            u, _ = step_solve(g, params, b, p, rhs, np.zeros(g.shape), opts)
+        except SolverFailure:
+            return
+        h = params.h
+        r = params.lam * u - params.eps * h * laplacian_apply(g, u) + h * beta_eval(b, u) + helmholtz_solve(g, u) - rhs
+        tol = opts.newton_tol * max(1.0, norm_h(g, rhs))
+    assert np.isfinite(tol) and norm_h(g, r) <= tol
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -303,12 +353,12 @@ def test_step_solve_stops_on_a_non_finite_start(monkeypatch, bad):
 
 
 def test_solves_take_arrays_and_reject_other_shapes():
-    # the solver layer works on arrays; a Field or a wrong shape is a grid mismatch
+    # the solver layer works on arrays; a wrong shape is a grid mismatch
     g = make_grid(1, 16)
     rhs = np.cos(np.pi * g.axis)
     assert type(helmholtz_solve(g, rhs)) is np.ndarray
     assert not {"Field", "mean", "norm_h"} & set(vars(elliptic))
-    for bad in (Field(g, rhs), rhs[:8], np.outer(rhs, rhs)):
+    for bad in (rhs[:8], np.outer(rhs, rhs), rhs[None]):
         for solve in (helmholtz_solve, neumann_poisson_solve, v0star_norm, vstar_norm):
             with pytest.raises(ValueError, match="grid mismatch"):
                 solve(g, bad)
@@ -347,27 +397,27 @@ def test_step_operator_coercivity_probe():
     def apply_op(x):
         return (
             lam * x
-            + Field(g, helmholtz_solve(g, x.values))
+            + helmholtz_solve(g, x)
             - eps * h * laplacian_apply(g, x)
-            + h * Field(g, beta_eval(b, x.values))
-            + h * Field(g, pi_eval(p, eps, x.values))
+            + h * beta_eval(b, x)
+            + h * pi_eval(p, eps, x)
         )
 
     for _ in range(200):
-        u = Field(g, rng.standard_normal(g.shape))
-        w = Field(g, rng.standard_normal(g.shape))
-        gain = inner_h(apply_op(u) - apply_op(w), u - w)
-        assert gain >= const * norm_v(u - w) ** 2 - 1e-10
+        u = rng.standard_normal(g.shape)
+        w = rng.standard_normal(g.shape)
+        gain = inner_h(g, apply_op(u) - apply_op(w), u - w)
+        assert gain >= const * norm_v(g, u - w) ** 2 - 1e-10
 
 
 def test_pt_pairing_linear_graph_closed_form():
     g = make_grid(1, 64)
     rng = np.random.default_rng(6)
-    u = Field(g, rng.standard_normal(g.shape))
+    u = rng.standard_normal(g.shape)
     tau = 0.25
-    bt = Field(g, yosida(BetaSpec("linear"), tau, u.values))
-    pairing = inner_h(-1.0 * laplacian_apply(g, u), bt)
-    assert pairing == pytest.approx(seminorm_v(u) ** 2 / (1.0 + tau), rel=1e-12)
+    bt = yosida(BetaSpec("linear"), tau, u)
+    pairing = inner_h(g, -1.0 * laplacian_apply(g, u), bt)
+    assert pairing == pytest.approx(seminorm_v(g, u) ** 2 / (1.0 + tau), rel=1e-12)
     assert pairing >= 0.0
 
 
@@ -380,7 +430,7 @@ def _check_solution(g, b, w, shift, alpha, tol):
     # test_dct_apply_matches_scipy_oracle
     ev = _eigenvalues(g.d, g.n)
     eps = np.finfo(float).eps
-    res = b - (shift * w - alpha * laplacian_apply(g, Field(g, w)).values)
+    res = b - (shift * w - alpha * laplacian_apply(g, w))
     assert np.linalg.norm(res) <= tol + 8 * eps * (shift - alpha * ev.min()) * np.linalg.norm(w)
     den = shift - alpha * ev
     mult = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
@@ -396,7 +446,7 @@ def _solve_both_and_check(g, b, alpha):
     b0 = b - b.mean()
     f = neumann_poisson_solve(g, b0, opts)
     _check_solution(g, b0, f, 0.0, 1.0, opts.lin_tol * np.linalg.norm(b0))
-    assert abs(mean(Field(g, f))) <= 1e-14 * max(1.0, np.max(np.abs(f)))
+    assert abs(mean(g, f)) <= 1e-14 * max(1.0, np.max(np.abs(f)))
 
 
 @settings(max_examples=40)
@@ -520,7 +570,7 @@ def test_newton_direction_applies_no_stencil(monkeypatch):
     x = elliptic._newton_direction(g, coef, diffusion, k_mult, rhs, 1.0, [])
     assert calls == []
     # the product without the stencil still solves the stencil system
-    lap_x = laplacian_apply(g, Field(g, x)).values
+    lap_x = laplacian_apply(g, x)
     a_x = coef * x - diffusion * lap_x + oracles.dct_diagonal_apply(x, k_mult)
     assert np.linalg.norm(a_x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -593,7 +643,7 @@ def test_newton_direction_at_the_edge_of_the_rule(monkeypatch, d, n, side):
     rhs = rng.standard_normal(g.shape)
     x, applies, iterations = _direction_counts(monkeypatch, g, coef, rhs, diffusion)
     assert applies == (iterations if side == "inside" else 2 * iterations)
-    lap_x = laplacian_apply(g, Field(g, x)).values
+    lap_x = laplacian_apply(g, x)
     k_mult = 1.0 / (1.0 - _eigenvalues(d, n))
     a_x = coef * x - diffusion * lap_x + oracles.dct_diagonal_apply(x, k_mult)
     assert np.linalg.norm(a_x - rhs) <= 1e-12 * np.linalg.norm(rhs)

@@ -3,8 +3,9 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+import chemhill.diagnostics
 from chemhill.elliptic import SolverOptions
-from chemhill.grid import Field, make_grid, norm_h, norm_l4, norm_v
+from chemhill.grid import make_grid, norm_h, norm_l4, norm_v
 from chemhill.limits import _uhat_at, _uhat_diff_norms, estimate_order, save_study_csv, study, summarize
 from chemhill.nonlinearity import BetaSpec, PiSpec
 from chemhill.scheme import Scenario, SimParams, Trajectory, run
@@ -28,7 +29,7 @@ def base_scenario(g, family="power", eta=0.0, N=32, T=0.2, eps=0.1, lam=0.01, **
         params=SimParams(eps=eps, lam=lam, N=N, T=T, eta=eta),
         beta=BetaSpec(family, **kw),
         pi=PiSpec("zero"),
-        u0=Field(g, np.cos(np.pi * g.axis)),
+        u0=np.cos(np.pi * g.axis),
         smooth_u0=False,
     )
 
@@ -48,7 +49,7 @@ def test_h_study_against_eigen_recurrence():
         assert 0.8 <= order <= 1.2
 
     a = oracles.mode_eigenvalue(g.n, 1)
-    phi_h = norm_h(Field(g, oracles.mode_values(g, 1)))
+    phi_h = norm_h(g, oracles.mode_values(g, 1))
     amps = {
         n: oracles.mode_recurrence(a, 0.1, 1e-3, 0.1 / n, n, 1.0)[0] for n in levels
     }
@@ -132,10 +133,11 @@ def _random_trajectory(g, N, T, seed):
     return Trajectory(g, SimParams(eps=0.1, lam=0.01, N=N, T=T), u, u, u)
 
 
-# blocks of 64 breakpoints in 1D at n=32 and of 8 in 2D at n=16; the level
-# pairs are not nested, so most breakpoints interpolate inside a step
+# blocks of 2048 values: 64 breakpoints in 1D at n=32 and 8 in 2D at n=16; the
+# level pairs are not nested, so most breakpoints interpolate inside a step
 @pytest.mark.parametrize("d,n,Na,Nb", [(1, 32, 1, 2), (1, 32, 45, 70), (2, 16, 1, 3), (2, 16, 5, 7)])
-def test_blocked_uhat_diff_norms_match_solve_oracle(d, n, Na, Nb):
+def test_blocked_uhat_diff_norms_match_solve_oracle(monkeypatch, d, n, Na, Nb):
+    monkeypatch.setattr(chemhill.diagnostics, "_BLOCK_VALUES", 2048)
     g = make_grid(d, n)
     ta, tb = _random_trajectory(g, Na, 0.3, seed=Na), _random_trajectory(g, Nb, 0.3, seed=Nb)
     got = _uhat_diff_norms(ta, tb)
@@ -159,7 +161,7 @@ def test_uhat_gather_matches_pointwise_oracle(d, n):
         scale = np.max(np.abs(traj.u))
         levels = between = 0
         for t, got in zip(ts, _uhat_at(traj, ts)):
-            want = rec.u_hat(t).values
+            want = rec.u_hat(t)
             if rec.locate(t)[1] == 0.0:
                 levels += 1
                 assert np.array_equal(got, want)
@@ -177,7 +179,7 @@ def test_uhat_gather_matches_pointwise_oracle(d, n):
 def short_traj():
     g = make_grid(1, 32)
     params = SimParams(eps=0.1, lam=0.05, N=8, T=0.2, eta=0.5)
-    u0 = Field(g, np.cos(np.pi * g.axis))
+    u0 = np.cos(np.pi * g.axis)
     sc = Scenario(grid=g, params=params, beta=BetaSpec("power", c2=0.0), pi=PiSpec("zero"), u0=u0)
     return run(sc, SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True))
 
@@ -186,18 +188,18 @@ def test_interpolant_evaluation_conventions(short_traj):
     rec = oracles.Reconstruction(short_traj)
     h = short_traj.params.h
     u = short_traj.u
-    assert np.array_equal(rec.u_hat(0.0).values, u[0])
-    assert np.array_equal(rec.u_hat(short_traj.params.T).values, u[-1])
-    assert np.array_equal(rec.u_bar(0.0).values, u[1])
-    assert np.array_equal(rec.u_bar(1.5 * h).values, u[2])
-    assert np.array_equal(rec.u_under(1.5 * h).values, u[1])
-    assert np.array_equal(rec.u_under(short_traj.params.T).values, u[-2])
+    assert np.array_equal(rec.u_hat(0.0), u[0])
+    assert np.array_equal(rec.u_hat(short_traj.params.T), u[-1])
+    assert np.array_equal(rec.u_bar(0.0), u[1])
+    assert np.array_equal(rec.u_bar(1.5 * h), u[2])
+    assert np.array_equal(rec.u_under(1.5 * h), u[1])
+    assert np.array_equal(rec.u_under(short_traj.params.T), u[-2])
     # at a shared breakpoint both one-sided reconstructions take that level
-    assert np.array_equal(rec.u_bar(h).values, u[1])
-    assert np.array_equal(rec.u_under(h).values, u[1])
+    assert np.array_equal(rec.u_bar(h), u[1])
+    assert np.array_equal(rec.u_under(h), u[1])
     mid = rec.u_hat(0.5 * h)
     expect = 0.5 * (u[0] + u[1])
-    assert np.max(np.abs(mid.values - expect)) <= 1e-15
+    assert np.max(np.abs(mid - expect)) <= 1e-15
     with pytest.raises(ValueError):
         rec.u_hat(-1e-9)
     with pytest.raises(ValueError):
@@ -208,25 +210,25 @@ def test_interpolant_max_form_identities(short_traj):
     # the sup norms of the linear reconstruction over [0, T] reduce to the
     # max of the initial value and the right-constant reconstruction
     rec = oracles.Reconstruction(short_traj)
-    u = [Field(short_traj.grid, x) for x in short_traj.u]
+    g, u = short_traj.grid, short_traj.u
     for norm in (norm_v, norm_l4, norm_h):
-        hat_sup = max(norm(rec.u_hat(t)) for t in rec.levels)
-        bar_sup = max(norm(x) for x in u[1:])
-        assert hat_sup == pytest.approx(max(norm(u[0]), bar_sup), abs=1e-14)
-    mu_hat_sup = max(norm_h(rec.mu_hat(t)) for t in rec.levels)
-    mu_bar_sup = max(norm_h(rec.mu_bar(t)) for t in rec.levels)
+        hat_sup = max(norm(g, rec.u_hat(t)) for t in rec.levels)
+        bar_sup = max(norm(g, x) for x in u[1:])
+        assert hat_sup == pytest.approx(max(norm(g, u[0]), bar_sup), abs=1e-14)
+    mu_hat_sup = max(norm_h(g, rec.mu_hat(t)) for t in rec.levels)
+    mu_bar_sup = max(norm_h(g, rec.mu_bar(t)) for t in rec.levels)
     assert mu_hat_sup == pytest.approx(mu_bar_sup, abs=1e-14)
 
 
 def test_increment_identity_on_each_interval(short_traj):
     rec = oracles.Reconstruction(short_traj)
     h = short_traj.params.h
-    u = [Field(short_traj.grid, x) for x in short_traj.u]
+    u = short_traj.u
     for n in range(short_traj.params.N):
         dot = (u[n + 1] - u[n]) / h
         t = (n + 0.5) * h
         gap = h * dot - (rec.u_bar(t) - rec.u_under(t))
-        assert np.max(np.abs(gap.values)) <= 1e-13
+        assert np.max(np.abs(gap)) <= 1e-13
 
 def test_study_parallel_jobs_match_serial():
     g = make_grid(1, 32)

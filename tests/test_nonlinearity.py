@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemhill.grid import Field, make_grid
+from chemhill.grid import make_grid
 from chemhill.nonlinearity import (
     BetaSpec,
     OutOfDomainError,
@@ -161,41 +161,41 @@ def test_pi_families():
 
 def test_validate_assumptions_accepts_catalog():
     g = make_grid(1, 32)
-    u0 = Field(g, 0.5 * np.cos(np.pi * g.axis))
-    rep = validate_assumptions(BetaSpec("power", m=3, c1=0.25, c2=0.0), PiSpec("zero"), u0)
+    u0 = 0.5 * np.cos(np.pi * g.axis)
+    rep = validate_assumptions(g, BetaSpec("power", m=3, c1=0.25, c2=0.0), PiSpec("zero"), u0)
     assert rep.passed
-    rep = validate_assumptions(BetaSpec("logit", c1=0.25, c2=1.0), PiSpec("tanh_decay", c3=2.0), u0)
+    rep = validate_assumptions(g, BetaSpec("logit", c1=0.25, c2=1.0), PiSpec("tanh_decay", c3=2.0), u0)
     assert rep.passed
     assert "A2" not in rep.failed_names()
 
 
 def test_validate_assumptions_flags_bad_growth_constants():
     g = make_grid(1, 32)
-    u0 = Field(g, 0.5 * np.cos(np.pi * g.axis))
-    rep = validate_assumptions(BetaSpec("power", m=3, c1=0.5, c2=0.1), PiSpec("zero"), u0)
+    u0 = 0.5 * np.cos(np.pi * g.axis)
+    rep = validate_assumptions(g, BetaSpec("power", m=3, c1=0.5, c2=0.1), PiSpec("zero"), u0)
     assert "A2" in rep.failed_names()
 
 
 def test_validate_assumptions_flags_exterior_mean():
     g = make_grid(1, 32)
-    u0 = Field(g, np.full(g.shape, 1.5))
-    rep = validate_assumptions(BetaSpec("logit"), PiSpec("zero"), u0)
+    u0 = np.full(g.shape, 1.5)
+    rep = validate_assumptions(g, BetaSpec("logit"), PiSpec("zero"), u0)
     assert "A5" in rep.failed_names()
 
 
 def test_validate_assumptions_checks_source_means():
     g = make_grid(1, 32)
-    u0 = Field(g, np.zeros(g.shape))
-    good = [Field(g, np.cos(np.pi * g.axis))]
-    bad = [Field(g, np.cos(np.pi * g.axis) + 0.1)]
-    assert "A3" not in validate_assumptions(BetaSpec("power"), PiSpec("zero"), u0, good).failed_names()
-    assert "A3" in validate_assumptions(BetaSpec("power"), PiSpec("zero"), u0, bad).failed_names()
+    u0 = np.zeros(g.shape)
+    good = [np.cos(np.pi * g.axis)]
+    bad = [np.cos(np.pi * g.axis) + 0.1]
+    assert "A3" not in validate_assumptions(g, BetaSpec("power"), PiSpec("zero"), u0, good).failed_names()
+    assert "A3" in validate_assumptions(g, BetaSpec("power"), PiSpec("zero"), u0, bad).failed_names()
 
 
 def test_validation_report_renders_each_assumption():
     g = make_grid(1, 32)
-    u0 = Field(g, np.zeros(g.shape))
-    text = validate_assumptions(BetaSpec("power"), PiSpec("zero"), u0).render()
+    u0 = np.zeros(g.shape)
+    text = validate_assumptions(g, BetaSpec("power"), PiSpec("zero"), u0).render()
     for name in ("A1", "A2", "A3", "A4", "A5"):
         assert name in text
 

@@ -40,3 +40,12 @@ def test_hypothesis_stores_nothing_in_the_checkout():
     # tests/conftest.py points Hypothesis's storage at a per-session directory
     root = Path(__file__).resolve().parents[1]
     assert not storage_directory("constants").path.resolve().is_relative_to(root)
+
+
+def test_grid_functions_are_plain_arrays():
+    # the grid-function class retired: the grid module's one class is the grid
+    import chemhill.grid
+
+    with pytest.raises(AttributeError):
+        chemhill.Field
+    assert [name for name in chemhill.grid.__all__ if isinstance(getattr(chemhill.grid, name), type)] == ["Grid"]

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import chemhill.elliptic
+import chemhill.grid
 import chemhill.scheme
 
 from chemhill.elliptic import SolverFailure, SolverOptions, StepFailure, helmholtz_solve, step_solve
-from chemhill.grid import Field, make_grid, mean, norm_h, norm_l4
+from chemhill.grid import make_grid, mean, norm_h, norm_l4
 from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval
 from chemhill.scheme import (
     Scenario,
@@ -33,7 +34,7 @@ TIGHT = SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True)
 
 
 def cosine_scenario(g, params, family="power", amp=1.0, smooth=False, **beta_kw):
-    u0 = Field(g, amp * np.cos(np.pi * g.axis))
+    u0 = amp * np.cos(np.pi * g.axis)
     return Scenario(
         grid=g,
         params=params,
@@ -60,22 +61,22 @@ def test_average_sources_constant_and_linear_in_time():
     params = SimParams(eps=0.5, lam=0.4, N=4, T=1.0)
     phi = np.sin(2 * np.pi * g.axis)
 
-    const = average_sources(lambda t, gr: Field(gr, phi), params, g)
+    const = average_sources(lambda t, gr: phi, params, g)
     assert len(const) == 4
     for f in const:
-        assert np.array_equal(f.values, phi)
+        assert np.array_equal(f, phi)
 
-    ramp = average_sources(lambda t, gr: Field(gr, t * phi), params, g)
+    ramp = average_sources(lambda t, gr: t * phi, params, g)
     for k, f in enumerate(ramp, start=1):
         exact = (k - 0.5) / 4.0 * phi
-        assert np.max(np.abs(f.values - exact)) <= 1e-15
+        assert np.max(np.abs(f - exact)) <= 1e-15
 
 
 def test_average_sources_rejects_invalid_params():
     g = make_grid(1, 16)
     params = SimParams(eps=0.5, lam=0.4, N=0, T=1.0)
     with pytest.raises(ValueError):
-        average_sources(lambda t, gr: Field(gr, np.zeros(gr.shape)), params, g)
+        average_sources(lambda t, gr: np.zeros(gr.shape), params, g)
 
 
 def test_uniform_steady_state_is_preserved():
@@ -97,8 +98,8 @@ def test_per_step_mass_conservation():
     traj = run(cosine_scenario(g, params, c2=0.0), TIGHT)
     h = params.h
     for n in range(params.N):
-        before = mean(Field(g, traj.u[n] + h * traj.mu[n]))
-        after = mean(Field(g, traj.u[n + 1] + h * traj.mu[n + 1]))
+        before = mean(g, traj.u[n] + h * traj.mu[n])
+        after = mean(g, traj.u[n + 1] + h * traj.mu[n + 1])
         assert abs(after - before) <= 1e-10
 
 
@@ -131,12 +132,12 @@ def test_zero_data_stays_zero():
         params=params,
         beta=BetaSpec("power", c2=0.0),
         pi=PiSpec("zero"),
-        u0=Field(g, np.zeros(g.shape)),
+        u0=np.zeros(g.shape),
     )
     traj = run(sc, TIGHT)
     for u, mu in zip(traj.u, traj.mu):
-        assert norm_h(Field(g, u)) <= 1e-12
-        assert norm_h(Field(g, mu)) <= 1e-12
+        assert norm_h(g, u) <= 1e-12
+        assert norm_h(g, mu) <= 1e-12
 
 
 def test_run_without_source_shares_one_zero_field(monkeypatch):
@@ -164,16 +165,16 @@ def test_smoke_run_power_graph_bounded_states():
     assert len(traj.u) == 33
     for u in traj.u:
         assert np.all(np.isfinite(u))
-        assert norm_l4(Field(g, u)) < 10.0
+        assert norm_l4(g, u) < 10.0
 
 
 def test_smoothing_preserves_mean_and_state_potentials_consistent():
     g = make_grid(1, 64)
     params = SimParams(eps=0.1, lam=0.05, N=4, T=0.05)
     sc = cosine_scenario(g, params, c2=0.0, amp=0.8, smooth=True)
-    sc = replace(sc, u0=sc.u0 + Field(g, np.full(g.shape, 0.2)))
+    sc = replace(sc, u0=sc.u0 + np.full(g.shape, 0.2))
     traj = run(sc, TIGHT)
-    assert mean(Field(g, traj.u[0])) == pytest.approx(mean(sc.u0), abs=1e-13)
+    assert mean(g, traj.u[0]) == pytest.approx(mean(g, sc.u0), abs=1e-13)
     for u, v in zip(traj.u, traj.v):
         back = helmholtz_solve(g, u, TIGHT)
         assert np.max(np.abs(back - v)) <= 1e-11
@@ -223,7 +224,7 @@ def test_run_rejects_failed_assumptions():
         params=params,
         beta=BetaSpec("logit"),
         pi=PiSpec("zero"),
-        u0=Field(g, np.full(g.shape, 1.5)),
+        u0=np.full(g.shape, 1.5),
     )
     with pytest.raises(ValueError, match="A5"):
         run(sc, TIGHT)
@@ -237,7 +238,7 @@ def test_run_rejects_failed_assumptions():
 def short_traj():
     g = make_grid(1, 32)
     params = SimParams(eps=0.1, lam=0.05, N=8, T=0.2, eta=0.5)
-    u0 = Field(g, np.cos(np.pi * g.axis))
+    u0 = np.cos(np.pi * g.axis)
     sc = Scenario(grid=g, params=params, beta=BetaSpec("power", c2=0.0), pi=PiSpec("zero"), u0=u0)
     return run(sc, TIGHT)
 
@@ -250,7 +251,7 @@ def test_subdifferential_inequality_along_run(short_traj):
     for prev, nxt in zip(short_traj.u, short_traj.u[1:]):
         du = nxt - prev
         lhs = np.vdot(beta_eval(b, nxt), du) * g.cell_volume
-        gap = mean(Field(g, beta_hat_eval(b, nxt))) - mean(Field(g, beta_hat_eval(b, prev)))
+        gap = mean(g, beta_hat_eval(b, nxt)) - mean(g, beta_hat_eval(b, prev))
         assert lhs >= gap - 1e-10
 
 
@@ -424,13 +425,13 @@ def test_two_dimensional_run_conserves_mass():
     g = make_grid(2, 12)
     params = SimParams(eps=0.2, lam=0.05, N=4, T=0.05, eta=0.3)
     xx, yy = g.coords()
-    u0 = Field(g, 0.5 * np.cos(np.pi * xx) * np.cos(np.pi * yy))
+    u0 = 0.5 * np.cos(np.pi * xx) * np.cos(np.pi * yy)
     sc = Scenario(grid=g, params=params, beta=BetaSpec("power", c2=0.0), pi=PiSpec("zero"), u0=u0)
     traj = run(sc, TIGHT)
     h = params.h
-    m0 = mean(Field(g, traj.u[0]))
+    m0 = mean(g, traj.u[0])
     for u, mu in zip(traj.u, traj.mu):
-        assert abs(mean(Field(g, u + h * mu)) - m0) <= 1e-10
+        assert abs(mean(g, u + h * mu) - m0) <= 1e-10
 
 
 def _step_inputs(d, n, family):
@@ -484,19 +485,13 @@ def test_step_reuses_the_newton_transforms(monkeypatch, start):
 
 
 @pytest.mark.parametrize("family", ["logit", "power"])
-def test_step_builds_only_the_new_states_fields(monkeypatch, family):
-    # a step works on arrays and checks its new arrays once: it builds no Field
+def test_step_builds_only_the_new_states_fields(family):
+    # a step works on arrays: its new level is three plain arrays on the grid
     prev, f_next, params, b, p = _step_inputs(2, 8, family)
-    built = []
-    real = Field.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(Field, "__init__", counted)
-    step(*prev, f_next, params, b, p)
-    assert len(built) == 0
+    g = prev[0]
+    new = step(*prev, f_next, params, b, p)
+    assert [(type(x), x.shape) for x in new] == [(np.ndarray, g.shape)] * 3
+    assert not hasattr(chemhill.grid, "Field")
 
 
 @pytest.mark.parametrize("opts", [None, TIGHT], ids=["default", "polish"])
