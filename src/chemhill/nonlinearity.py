@@ -146,7 +146,7 @@ def beta_eval(b, r):
     if b.family == "linear":
         out = arr.copy()
     elif b.family == "power":
-        out = np.sign(arr) * np.abs(arr) ** b.m
+        out = arr * np.abs(arr) ** (b.m - 1.0)  # r*|r|**(m-1): at m=3 a square, where sign(r)*|r|**m takes libm pow
     elif b.family == "logit":
         out = _logit(arr)
     else:

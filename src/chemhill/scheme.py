@@ -18,8 +18,12 @@ Newton residual of the accepted iterate already formed from the same
 table, which ``elliptic.step_solve`` returns with the density, so bitwise
 the shifted solve's result, and it gets the solve's stencil residual
 check: two shifted solves per step. The first Newton residual takes
-K u_n from v_n as well, unless a bounded graph's start was clipped.
-mu_{n+1} is not recovered from (v_{n+1} - v_n)/h, which would divide the
+K u_n from v_n as well, and its rhs-free part
+lam*u_n - eps*h*Lap u_n + h*beta(u_n) + h*pi(u_n) from the previous step,
+which returns that part of its accepted iterate beside the level; both
+are recomputed where a bounded graph's start was clipped. So a step makes
+one stencil and one graph evaluation fewer than its residuals, with the
+same bits. mu_{n+1} is not recovered from (v_{n+1} - v_n)/h, which would divide the
 solves' forward error by h and skip a residual check. The initial
 potential is identically zero and the initial density is the smoothed
 datum.
@@ -165,25 +169,41 @@ def average_sources(provider, params, grid):
     return [provider((k + 0.5) * h, grid) for k in range(params.N)]
 
 
-def step(g, u, mu, v, f_next, params, b, p, opts=None):
-    """Advance the level (u, mu, v) one step and return the next one's arrays.
+def step(g, u, mu, v, f_next, params, b, p, opts=None, local=None):
+    """Advance the level (u, mu, v) one step; return the next one's arrays and its carried residual part.
 
     ``v`` serves as K u_n on the right-hand side and in the first Newton
     residual, so it must be ``helmholtz_solve(g, u)`` (the Trajectory
     invariant); the shifted solves are deterministic, so this equals
     recomputing it bit for bit. The new level keeps the invariant: its v is
-    the K u of the accepted Newton residual, bitwise the solve. Raises
-    SolverFailure when a solve fails or a new array is not finite.
+    the K u of the accepted Newton residual, bitwise the solve. ``local``,
+    when given, is the rhs-free part lam*u - eps*h*Lap u + h*beta(u) +
+    h*pi(u) of the Newton residual at u that the previous step returned
+    with the same params and graphs; it spares the first Newton residual a
+    stencil and a graph evaluation, and is bitwise what they give. Returns
+    (u_next, mu_next, v_next, local_next). Raises SolverFailure when a
+    solve fails or a new array is not finite.
     """
     opts = opts or SolverOptions()
     h, lam = params.h, params.lam
-    adv = params.eta * advective_divergence(g, u, v)
-    rhs = h * f_next + lam * u + v + h * helmholtz_solve(g, mu - adv, opts)
-    u_next, v_next = step_solve(g, params, b, p, rhs, u, opts, k_warm=v)
-    mu_next = helmholtz_solve(g, mu - (u_next - u) / h - adv, opts)
+    # each sum below is formed in place in the order of the scheme's formula
+    adv = advective_divergence(g, u, v)
+    adv *= params.eta
+    rhs = h * f_next  # h*f_next + lam*u + v + h*K(mu - adv)
+    rhs += lam * u
+    rhs += v
+    k_mu = helmholtz_solve(g, mu - adv, opts)
+    k_mu *= h
+    rhs += k_mu
+    u_next, v_next, local_next = step_solve(g, params, b, p, rhs, u, opts, k_warm=v, local_warm=local)
+    mu_arg = u_next - u  # mu - (u_next - u)/h - adv
+    mu_arg /= h
+    np.subtract(mu, mu_arg, out=mu_arg)
+    mu_arg -= adv
+    mu_next = helmholtz_solve(g, mu_arg, opts)
     if not all(np.isfinite(x).all() for x in (u_next, mu_next, v_next)):
         raise SolverFailure("the new level holds non-finite entries")
-    return u_next, mu_next, v_next
+    return u_next, mu_next, v_next, local_next
 
 
 def run(scenario, opts=None):
@@ -228,10 +248,11 @@ def run(scenario, opts=None):
     mu[0] = 0.0
     v[0] = helmholtz_solve(g, u[0], opts)
     zero = np.zeros(g.shape)  # every step's source in an unforced run
+    local = None  # the Newton residual's rhs-free part at u[k], carried from step k - 1
     for k in range(params.N):
         try:
-            u[k + 1], mu[k + 1], v[k + 1] = step(
-                g, u[k], mu[k], v[k], zero if f is None else f[k], params, scenario.beta, scenario.pi, opts
+            u[k + 1], mu[k + 1], v[k + 1], local = step(
+                g, u[k], mu[k], v[k], zero if f is None else f[k], params, scenario.beta, scenario.pi, opts, local
             )
         except SolverFailure as exc:
             exc.step_index = k

@@ -11,7 +11,8 @@ are ``scipy.fft`` solves refined against the dense stencil, with K mu_n
 and K adv_n solved separately, and dual norms, the ledger and the study
 differences evaluated one step at a time, each dual norm through a checked
 linear solve instead of a spectral sum, and the ledger's other terms from
-``np.diff`` face differences and the dense stencil. The grid norms are
+``np.diff`` face differences and the dense stencil. The stencil's
+bitwise reference is the padded-slice sum over ``np.pad``. The grid norms are
 exactly rounded ``math.fsum`` sums over ravelled fields. The pointwise time
 reconstructions of a run (linear and one-sided constant) are evaluated
 one time at a time, located against the level times.
@@ -82,6 +83,23 @@ def dense_neumann_laplacian_2d(n):
     lap = dense_neumann_laplacian(n)
     eye = np.eye(n)
     return np.kron(lap, eye) + np.kron(eye, lap)
+
+
+def padded_slice_laplacian(v, dx, d=None):
+    """The mirror-ghost stencil as sums of shifted slices of the edge-padded array.
+
+    The trailing d axes (default: all) are the grid, leading axes a batch.
+    The terms are added in the stencil's order, left + right - 2v in 1D and
+    up + down + left + right - 4v in 2D, then divided by dx^2, so a stencil
+    that keeps that order matches it bit for bit.
+    """
+    d = d or v.ndim
+    p = np.pad(v, [(0, 0)] * (v.ndim - d) + [(1, 1)] * d, mode="edge")
+    if d == 1:
+        lap = p[..., :-2] + p[..., 2:] - 2.0 * v
+    else:
+        lap = p[..., :-2, 1:-1] + p[..., 2:, 1:-1] + p[..., 1:-1, :-2] + p[..., 1:-1, 2:] - 4.0 * v
+    return lap / dx**2
 
 
 def linear_step_solution(n, lam, eps, h, rhs):

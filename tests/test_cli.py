@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chemhill.limits
@@ -378,6 +378,25 @@ def test_main_csv_series_node_out_of_range_exit_two(tmp_path, capsys, row, reaso
     assert "input error" in err and reason in err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_main_csv_series_starting_late_exits_one(tmp_path, capsys, command):
+    # 1D n=8, N=4, T=0.1: the first step's midpoint is t=0.0125, before the
+    # series' first row. Both commands refuse the run with a message, exit 1
+    series = tmp_path / "g.csv"
+    series.write_text("t,node,value\n" + "".join(f"0.5,{j},{0.1 * (-1) ** j}\n" for j in range(8)))
+    conf = tmp_path / "late.ini"
+    conf.write_text(
+        RUNNABLE.replace("n = 48", "n = 8")
+        .replace("N = 8", "N = 4")
+        .replace("[source]\npreset = zero", f"[source]\npreset = csv-series\nrole = g\npath = {series}")
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{command} rejected: series starts at t=0.5, asked for 0.0125" in captured.out
+    assert captured.err == ""
+
+
 def test_main_missing_csv_series_exit_two(tmp_path, capsys):
     missing = tmp_path / "absent.csv"
     code = main(["validate", "--config", str(_series_config(tmp_path, missing))])
@@ -560,9 +579,9 @@ def test_simulate_nan_density_fails_at_its_step(tmp_path, monkeypatch, capsys):
     real = chemhill.scheme.step_solve
 
     def nan_at_step_two(*args, **kwargs):
-        u, ku = real(*args, **kwargs)
+        u, ku, local = real(*args, **kwargs)
         calls.append(1)
-        return (np.full_like(u, np.nan) if len(calls) == 3 else u), ku
+        return (np.full_like(u, np.nan) if len(calls) == 3 else u), ku, local
 
     monkeypatch.setattr(chemhill.scheme, "step_solve", nan_at_step_two)
     conf = tmp_path / "nan.ini"
@@ -792,7 +811,9 @@ _FUZZ_KEYS = {
     # from 1e155 the values stay finite but their squares overflow
     ("initial", "amplitude"): (["0.5", "0.9", "1"], ["1e155", "1e160", "1e300", "nan"]),
     ("initial", "smooth"): (["true", "false"], []),
-    ("source", "preset"): (["zero", "cosine_g"], []),
+    ("source", "preset"): (["zero", "cosine_g", "csv-series"], []),
+    # the two files the fuzz writes next to its config (_FUZZ_SERIES): one from t=0, one from t=0.5
+    ("source", "path"): (["series.csv"], ["late.csv"]),
     ("source", "k"): (["1", "2"], ["0"]),
     ("source", "amplitude"): (["0", "1"], ["1e155", "1e160", "1e300", "nan"]),
     ("solver", "lin_tol"): (["1e-11", "1e-14"], ["0", "nan"]),
@@ -802,6 +823,12 @@ _FUZZ_KEYS = {
     ("study", "epsilon_levels"): (["0.1, 0.05", "0.2, 0.1, 0.05"], ["nan", "0.05, 0.1"]),
 }
 _FUZZ_BREAKS = [(key, value) for key, (_, bad) in _FUZZ_KEYS.items() for value in bad]
+# mean-free rows on nodes 0..3, which every drawn grid has: a series that
+# covers every run, and one that starts after the first step's midpoint
+_FUZZ_SERIES = {
+    name: "t,node,value\n" + "".join(f"{t},{j},{0.1 * (-1) ** j}\n" for j in range(4))
+    for name, t in (("series.csv", 0.0), ("late.csv", 0.5))
+}
 
 
 def _fuzz_config(values):
@@ -840,6 +867,12 @@ def _artifacts_finite(outdir):
     breaks=st.lists(st.sampled_from(_FUZZ_BREAKS), max_size=2),
     out_name=st.sampled_from(["out", "file/sub"]),
 )
+@example(
+    command="validate",
+    values={("source", "preset"): "csv-series", ("source", "path"): "late.csv"},
+    breaks=[],
+    out_name="out",
+)
 def test_main_keeps_its_exit_code_contract(command, values, breaks, out_name):
     # whatever the config and output path, main returns 0, 1 or 2, never
     # raises and emits no warning; a run that returns 0 writes only finite
@@ -850,6 +883,8 @@ def test_main_keeps_its_exit_code_contract(command, values, breaks, out_name):
         tmp = Path(tmp)
         conf = tmp / "fuzz.ini"
         conf.write_text(_fuzz_config(values))
+        for name, text in _FUZZ_SERIES.items():
+            (tmp / name).write_text(text)
         (tmp / "file").write_text("")
         out = tmp / out_name
         err = io.StringIO()

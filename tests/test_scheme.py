@@ -13,8 +13,8 @@ import chemhill.grid
 import chemhill.scheme
 
 from chemhill.elliptic import SolverFailure, SolverOptions, StepFailure, helmholtz_solve, step_solve
-from chemhill.grid import make_grid, mean, norm_h, norm_l4
-from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval
+from chemhill.grid import laplacian_apply, make_grid, mean, norm_h, norm_l4
+from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval, pi_eval
 from chemhill.scheme import (
     Scenario,
     SimParams,
@@ -87,7 +87,7 @@ def test_uniform_steady_state_is_preserved():
     b = BetaSpec("linear")
     u = np.full(g.shape, m0)
     mu = np.full(g.shape, beta_eval(b, m0))
-    u1, mu1, _ = step(g, u, mu, helmholtz_solve(g, u), np.zeros(g.shape), params, b, PiSpec("zero"), TIGHT)
+    u1, mu1, _, _ = step(g, u, mu, helmholtz_solve(g, u), np.zeros(g.shape), params, b, PiSpec("zero"), TIGHT)
     assert np.max(np.abs(u1 - m0)) <= 1e-12
     assert np.max(np.abs(mu1 - beta_eval(b, m0))) <= 1e-12
 
@@ -201,11 +201,11 @@ def test_non_finite_step_fails_with_the_partial_trajectory(monkeypatch, which):
     real = chemhill.scheme.step_solve
 
     def nan_at_step_two(*args, **kwargs):
-        u, ku = real(*args, **kwargs)
+        u, ku, local = real(*args, **kwargs)
         calls.append(1)
         if len(calls) == 3:
             u, ku = (np.full_like(x, np.nan) if name == which else x for name, x in (("u", u), ("v", ku)))
-        return u, ku
+        return u, ku, local
 
     monkeypatch.setattr(chemhill.scheme, "step_solve", nan_at_step_two)
     with np.errstate(all="ignore"), pytest.raises(SolverFailure) as info:
@@ -485,11 +485,50 @@ def test_step_reuses_the_newton_transforms(monkeypatch, start):
 
 
 @pytest.mark.parametrize("family", ["logit", "power"])
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
+def test_step_with_the_carried_part_makes_one_stencil_fewer(monkeypatch, d, n, family):
+    # the carried rhs-free part stands in for the first Newton residual's
+    # stencil and graph evaluation; the level is bitwise the one without it,
+    # and the part a step returns is bitwise the plain expression at its u
+    (g, *level), f_next, params, b, p = _step_inputs(d, n, family)
+    *level, local = step(g, *level, f_next, params, b, p)
+    eps, lam, h = params.eps, params.lam, params.h
+    u = level[0]
+    fresh = lam * u - eps * h * laplacian_apply(g, u) + h * beta_eval(b, u) + h * pi_eval(p, eps, u)
+    assert np.array_equal(local, fresh)
+    stencils = _recording(monkeypatch, chemhill.elliptic, "_laplacian")
+    without = step(g, *level, f_next, params, b, p)
+    fresh_count = len(stencils)
+    stencils.clear()
+    carried = step(g, *level, f_next, params, b, p, None, local)
+    assert len(stencils) == fresh_count - 1
+    for x, y in zip(carried, without):
+        assert np.array_equal(x, y)
+
+
+def test_step_recomputes_the_carried_part_where_the_clip_moves_the_start(monkeypatch):
+    # a logit start at 1 - 1e-14 is clipped to 1 - 1e-12: the carried part,
+    # here all NaN so that a read of it would fail the step, is not used
+    (g, u, mu, _), f_next, params, b, p = _step_inputs(2, 8, "logit")
+    u = u.copy()
+    u[0, 0] = 1.0 - 1e-14
+    v = helmholtz_solve(g, u)
+    stencils = _recording(monkeypatch, chemhill.elliptic, "_laplacian")
+    got = step(g, u, mu, v, f_next, params, b, p, None, np.full(g.shape, np.nan))
+    carried_count = len(stencils)
+    stencils.clear()
+    want = step(g, u, mu, v, f_next, params, b, p)
+    assert carried_count == len(stencils)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("family", ["logit", "power"])
 def test_step_builds_only_the_new_states_fields(family):
     # a step works on arrays: its new level is three plain arrays on the grid
     prev, f_next, params, b, p = _step_inputs(2, 8, family)
     g = prev[0]
-    new = step(*prev, f_next, params, b, p)
+    *new, _ = step(*prev, f_next, params, b, p)
     assert [(type(x), x.shape) for x in new] == [(np.ndarray, g.shape)] * 3
     assert not hasattr(chemhill.grid, "Field")
 
@@ -498,10 +537,12 @@ def test_step_builds_only_the_new_states_fields(family):
 @pytest.mark.parametrize("family", ["logit", "power"])
 @pytest.mark.parametrize("d,n", [(1, 48), (2, 12)])
 def test_step_potential_is_bitwise_the_shifted_solve(d, n, family, opts):
-    # the Trajectory invariant, over two steps: the second starts from a reused v
+    # the Trajectory invariant, over two steps: the second starts from a reused
+    # v and the carried residual part
     (g, *level), f_next, params, b, p = _step_inputs(d, n, family)
+    local = None
     for _ in range(2):
-        level = step(g, *level, f_next, params, b, p, opts)
+        *level, local = step(g, *level, f_next, params, b, p, opts, local)
         assert np.array_equal(level[2], helmholtz_solve(g, level[0]))
 
 
