@@ -213,10 +213,10 @@ def parse_config(text, base_dir="."):
 
 def _semantic_violations(cfg):
     bad = []
-    if cfg.d not in (1, 2):
-        bad.append(f"grid dimension must be 1 or 2, got {cfg.d}")
-    if cfg.n < 4:
-        bad.append(f"grid needs n >= 4, got {cfg.n}")
+    try:
+        make_grid(cfg.d, cfg.n)
+    except ValueError as exc:
+        bad.append(str(exc))
     bad.extend(cfg.sim_params().violations())
     try:
         BetaSpec(cfg.beta_family, m=cfg.m, c1=cfg.c1, c2=cfg.c2)
@@ -398,7 +398,7 @@ def _cmd_simulate(cfg, scenario, outdir):
     return 0
 
 
-def _cmd_study(cfg, scenario, axis, outdir, jobs):
+def _cmd_study(cfg, scenario, axis, outdir):
     opts = cfg.solver_options()
     if axis == "h":
         levels = [int(x) for x in (cfg.h_levels or (cfg.N, 2 * cfg.N, 4 * cfg.N))]
@@ -412,7 +412,7 @@ def _cmd_study(cfg, scenario, axis, outdir, jobs):
         print(f"config error: study-{axis} levels: {exc}", file=sys.stderr)
         return 2
     try:
-        report = study(axis, scenario, levels, opts=opts, jobs=jobs)
+        report = study(axis, scenario, levels, opts=opts)
     except ValueError as exc:  # raised after the levels ran: a run failure
         print(f"study-{axis} failed: {exc}")
         return 1
@@ -476,7 +476,7 @@ def _cmd_check_identities(cfg, scenario):
     return 0 if ok else 1
 
 
-def dispatch(command, cfg, jobs=1, outdir=None):
+def dispatch(command, cfg, outdir=None):
     """Run one command against a validated config; returns the exit status."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -492,7 +492,7 @@ def dispatch(command, cfg, jobs=1, outdir=None):
         if command == "simulate":
             return _cmd_simulate(cfg, scenario, out)
         if command.startswith("study-"):
-            return _cmd_study(cfg, scenario, command.split("-", 1)[1], out, jobs)
+            return _cmd_study(cfg, scenario, command.split("-", 1)[1], out)
         if command == "validate":
             return _cmd_validate(cfg, scenario, out if outdir is not None else None)
         return _cmd_check_identities(cfg, scenario)
@@ -519,19 +519,13 @@ def main(argv=None):
         required=True,
         help="path to the INI scenario config (relative input paths in it resolve against its directory)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for study levels (at most one per level)"
-    )
     parser.add_argument("--out", default=None, help="output directory (default: config output.directory)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print(f"usage error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
 
     config = Path(args.config)
     try:
         text = config.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -540,7 +534,7 @@ def main(argv=None):
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    return dispatch(args.command, cfg, jobs=args.jobs, outdir=args.out)
+    return dispatch(args.command, cfg, outdir=args.out)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,7 @@ Axis conventions:
              limit.
 """
 
-import contextlib
 import csv
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,7 +137,7 @@ def check_levels(axis, base_scenario, levels):
     return scenarios, values
 
 
-def study(axis, base_scenario, levels, opts=None, jobs=1):
+def study(axis, base_scenario, levels, opts=None):
     """Run one trajectory per level and tabulate consecutive differences.
 
     Parameters
@@ -152,42 +150,25 @@ def study(axis, base_scenario, levels, opts=None, jobs=1):
         Step counts N (increasing) for the h axis, parameter values
         (decreasing) otherwise.
     opts : SolverOptions, optional
-    jobs : int
-        At least 1. Level runs fan out over a pool of min(jobs, level
-        count) processes when that is more than one.
 
-    Orders are suppressed below the noise floor 10 * newton_tol. ``jobs``
-    below 1 and the rejections of :func:`check_levels` raise ValueError
-    before any level runs. A level whose run fails marks the report failed
-    and truncates the tables after the last successful level.
+    The levels run one after another, in order, in the calling process.
+    Orders are suppressed below the noise floor 10 * newton_tol. The
+    rejections of :func:`check_levels` raise ValueError before any level
+    runs. A level whose run fails marks the report failed and truncates
+    the tables after the last successful level.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     scenarios, values = check_levels(axis, base_scenario, levels)
     opts = opts or SolverOptions()
 
     report = StudyReport(axis=axis, levels=values)
     trajectories = []
-    workers = min(jobs, len(scenarios))
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # imported here, so a serial run never loads the pool's modules
-            # (multiprocessing, socket, subprocess)
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a spawned or forkserver worker would not inherit the caller's np.errstate
-            init = functools.partial(np.seterr, **np.geterr())
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, initializer=init))
-            results = [pool.submit(run, sc, opts).result for sc in scenarios]
-        else:
-            results = [functools.partial(run, sc, opts) for sc in scenarios]
-        for lv, result in zip(values, results):
-            try:
-                trajectories.append(result())
-            except (SolverFailure, ValueError) as exc:
-                report.failed_level = lv
-                report.failure_message = str(exc)
-                break
+    for lv, sc in zip(values, scenarios):
+        try:
+            trajectories.append(run(sc, opts))
+        except (SolverFailure, ValueError) as exc:
+            report.failed_level = lv
+            report.failure_message = str(exc)
+            break
 
     report.ledgers = [build_ledger(tr, base_scenario.beta) for tr in trajectories]
     for ta, tb in zip(trajectories, trajectories[1:]):

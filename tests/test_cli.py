@@ -256,6 +256,40 @@ def test_main_bad_config_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(("d = 1", "d = 3"), "unsupported dimension d=3; expected 1 or 2", id="d-3"),
+        pytest.param(("n = 48", "n = 3"), "n=3 too coarse; need n >= 4 for second-order stencils", id="n-3"),
+    ],
+)
+def test_main_reports_the_grid_rule_exit_two(tmp_path, capsys, edit, message):
+    # the config check reports Grid's own message, so the rule lives in one place
+    conf = tmp_path / "bad.ini"
+    conf.write_text(RUNNABLE.replace(*edit))
+    assert main(["validate", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+
+
+def test_main_csv_datum_on_another_grid_exit_two(tmp_path, capsys):
+    # a datum written for n = 16 does not fit the config's n = 32 grid
+    (tmp_path / "u0.csv").write_text(
+        "x,value\n" + "".join(f"{x:.17g},0.25\n" for x in make_grid(1, 16).axis)
+    )
+    conf = tmp_path / "run.ini"
+    conf.write_text(
+        RUNNABLE.replace("n = 48", "n = 32").replace(
+            "[initial]\npreset = cosine\nk = 1", "[initial]\npreset = csv\npath = u0.csv"
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "input error: expected 32 rows, found 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, edits, key",
     [
         pytest.param("simulate", {"c3 = 0": "c3 = nan"}, "c3", id="c3-nan"),
@@ -402,6 +436,32 @@ def test_main_missing_csv_series_exit_two(tmp_path, capsys):
     code = main(["validate", "--config", str(_series_config(tmp_path, missing))])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "undecodable, message",
+    [
+        ("run.ini", "cannot read config: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("u0.csv", "input error: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("g.csv", "input error: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+)
+def test_main_undecodable_input_exit_two(tmp_path, capsys, undecodable, message):
+    # a config, datum or series file that is not UTF-8 text is an input error, not a traceback
+    g = make_grid(1, 16)
+    (tmp_path / "u0.csv").write_text("x,value\n" + "".join(f"{x:.17g},0.25\n" for x in g.axis))
+    (tmp_path / "g.csv").write_text("t,node,value\n0.0,0,0.1\n0.0,1,-0.1\n")
+    (tmp_path / "run.ini").write_text(
+        RUNNABLE.replace("n = 48", "n = 16")
+        .replace("[initial]\npreset = cosine\nk = 1", "[initial]\npreset = csv\npath = u0.csv")
+        .replace("[source]\npreset = zero", "[source]\npreset = csv-series\nrole = g\npath = g.csv")
+    )
+    bad = tmp_path / undecodable
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    assert main(["validate", "--config", str(tmp_path / "run.ini")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_main_resolves_relative_csv_paths_against_config_dir(tmp_path, monkeypatch):
@@ -635,19 +695,20 @@ def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_main_rejects_jobs_below_one_exit_two(tmp_path, capsys, jobs):
+def test_main_rejects_jobs_as_an_unrecognized_argument(tmp_path, capsys):
+    # a study runs its levels in the command's own process; there is no --jobs
     conf = tmp_path / "run.ini"
     conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
     out = tmp_path / "study"
-    code = main(["study-h", "--config", str(conf), "--out", str(out), f"--jobs={jobs}"])
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["study-h", "--config", str(conf), "--out", str(out), "--jobs", "2"])
+    assert info.value.code == 2
     assert not out.exists()
-    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
-def test_cli_serial_study_loads_no_process_pool(tmp_path):
-    # the pool's modules load only when a study fans out over processes
+def test_cli_study_loads_no_process_pool(tmp_path):
+    # a study runs its levels in this process, and the trajectory writer forks with os alone
     conf = tmp_path / "study.ini"
     conf.write_text(RUNNABLE + "\n[study]\nh_levels = 8,16\n")
     # a simulate whose trajectory CSV is above the fork threshold, on two CPUs
@@ -774,24 +835,6 @@ def test_main_nonfinite_ledger_exit_one(tmp_path, capsys, command, text, message
     assert not caught and "Warning" not in captured.err
 
 
-def test_parallel_study_workers_print_no_numpy_warning(tmp_path):
-    # spawned workers do not inherit the CLI's floating-point error state
-    # unless the pool passes it on
-    conf = tmp_path / "huge.ini"
-    conf.write_text(_HUGE_ETA)
-    argv = ["study-h", "--config", str(conf), "--out", str(tmp_path / "out"), "--jobs", "2"]
-    probe = (
-        "import multiprocessing, sys\n"
-        "import chemhill.cli\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        f"sys.exit(chemhill.cli.main({argv!r}))\n"
-    )
-    done = _run_probe(probe)
-    assert done.returncode == 1, done.stderr
-    assert f"level 0.025: FAILED ({_ETA_OVERFLOW})" in done.stdout
-    assert done.stderr == ""
-
-
 # for each key the fuzz varies: usable values, then boundary and unusable ones
 _FUZZ_KEYS = {
     ("grid", "d"): (["1", "2"], ["3"]),
@@ -828,6 +871,13 @@ _FUZZ_BREAKS = [(key, value) for key, (_, bad) in _FUZZ_KEYS.items() for value i
 _FUZZ_SERIES = {
     name: "t,node,value\n" + "".join(f"{t},{j},{0.1 * (-1) ** j}\n" for j in range(4))
     for name, t in (("series.csv", 0.0), ("late.csv", 0.5))
+}
+# a mean-free step datum on the 1D n=16 grid, and the same datum with a nan
+# on node 3; either is drawn with preset = csv, on whatever grid the config names
+_FUZZ_STEP = [0.5] * 8 + [-0.5] * 8
+_FUZZ_DATA = {
+    name: "x,value\n" + "".join(f"{(j + 0.5) / 16!r},{v}\n" for j, v in enumerate(values))
+    for name, values in (("datum.csv", _FUZZ_STEP), ("nan.csv", _FUZZ_STEP[:3] + ["nan"] + _FUZZ_STEP[4:]))
 }
 
 
@@ -866,24 +916,30 @@ def _artifacts_finite(outdir):
     values=st.fixed_dictionaries({k: st.sampled_from([None] + ok) for k, (ok, _) in _FUZZ_KEYS.items()}),
     breaks=st.lists(st.sampled_from(_FUZZ_BREAKS), max_size=2),
     out_name=st.sampled_from(["out", "file/sub"]),
+    datum=st.sampled_from([None, *_FUZZ_DATA]),
 )
 @example(
     command="validate",
     values={("source", "preset"): "csv-series", ("source", "path"): "late.csv"},
     breaks=[],
     out_name="out",
+    datum=None,
 )
-def test_main_keeps_its_exit_code_contract(command, values, breaks, out_name):
+@example(command="simulate", values={("grid", "n"): "16"}, breaks=[], out_name="out", datum="datum.csv")
+def test_main_keeps_its_exit_code_contract(command, values, breaks, out_name, datum):
     # whatever the config and output path, main returns 0, 1 or 2, never
     # raises and emits no warning; a run that returns 0 writes only finite
     # numbers. A key drawn as None is left out, up to two keys take a boundary
-    # or unusable value, and "file/sub" is an --out below a regular file
+    # or unusable value, "file/sub" is an --out below a regular file, and a
+    # drawn datum file replaces the initial preset
+    if datum is not None:
+        values = {**values, ("initial", "preset"): "csv", ("initial", "path"): datum}
     values = {**values, **dict(breaks)}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         conf = tmp / "fuzz.ini"
         conf.write_text(_fuzz_config(values))
-        for name, text in _FUZZ_SERIES.items():
+        for name, text in {**_FUZZ_SERIES, **_FUZZ_DATA}.items():
             (tmp / name).write_text(text)
         (tmp / "file").write_text("")
         out = tmp / out_name

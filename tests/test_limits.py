@@ -1,10 +1,9 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
 
 import chemhill.diagnostics
-from chemhill.elliptic import SolverOptions
+import chemhill.limits
+from chemhill.elliptic import SolverFailure, SolverOptions
 from chemhill.grid import make_grid, norm_h, norm_l4, norm_v
 from chemhill.limits import _uhat_at, _uhat_diff_norms, estimate_order, save_study_csv, study, summarize
 from chemhill.nonlinearity import BetaSpec, PiSpec
@@ -103,6 +102,27 @@ def test_study_marks_failed_level():
     assert rep.failed_level is not None
     assert rep.diffs_linf_h == []
     assert "residual" in rep.failure_message or "stagnated" in rep.failure_message
+
+
+def test_study_runs_levels_in_order_and_stops_at_the_first_failure(monkeypatch):
+    # the levels run one after another in this process: a stand-in for run
+    # sees every call, and no level after a failed one is started
+    calls = []
+
+    def fake_run(sc, opts):
+        calls.append(sc.params.N)
+        if sc.params.N == 16:
+            raise SolverFailure("stand-in failure at N = 16")
+        return run(sc, opts)
+
+    monkeypatch.setattr(chemhill.limits, "run", fake_run)
+    sc = base_scenario(make_grid(1, 16), eta=0.5, N=8, T=0.05, c2=0.0)
+    rep = study("h", sc, [8, 16, 32])
+    assert calls == [8, 16]
+    assert rep.failed_level == rep.levels[1]
+    assert rep.failure_message == "stand-in failure at N = 16"
+    assert len(rep.ledgers) == 1
+    assert rep.diffs_linf_h == [] and rep.diffs_l2_vstar == []
 
 
 def test_study_h_reads_the_last_level_at_a_time_past_T():
@@ -230,15 +250,6 @@ def test_increment_identity_on_each_interval(short_traj):
         gap = h * dot - (rec.u_bar(t) - rec.u_under(t))
         assert np.max(np.abs(gap)) <= 1e-13
 
-def test_study_parallel_jobs_match_serial():
-    g = make_grid(1, 32)
-    sc = base_scenario(g, eta=0.5, N=8, T=0.05, c2=0.0)
-    serial = study("h", sc, [8, 16], opts=SolverOptions())
-    parallel = study("h", sc, [8, 16], opts=SolverOptions(), jobs=2)
-    assert serial.diffs_linf_h == parallel.diffs_linf_h
-    assert serial.diffs_l2_vstar == parallel.diffs_l2_vstar
-
-
 def test_study_csv_and_summary(tmp_path):
     g = make_grid(1, 32)
     sc = base_scenario(g, N=8, T=0.05, c2=0.0)
@@ -251,48 +262,3 @@ def test_study_csv_and_summary(tmp_path):
     text = summarize(rep)
     assert "h axis" in text
     assert text.count("level") == 3
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs each job at submit.
-
-    Jobs run in this process, so the worker ``initializer`` has nothing to set up.
-    """
-
-    sizes = []
-
-    def __init__(self, max_workers, initializer=None):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:
-            fut.set_exception(exc)
-        return fut
-
-
-def test_study_pool_is_capped_at_the_level_count(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    g = make_grid(1, 32)
-    sc = base_scenario(g, eta=0.5, N=8, T=0.05, c2=0.0)
-    pooled = study("h", sc, [8, 16], jobs=3)
-    assert _RecordingPool.sizes == [2]
-    assert pooled.diffs_l2_vstar == study("h", sc, [8, 16]).diffs_l2_vstar
-    study("h", sc, [8], jobs=4)  # one level: no pool at all
-    assert _RecordingPool.sizes == [2]
-
-
-@pytest.mark.parametrize("jobs", [0, -2])
-def test_study_rejects_jobs_below_one(jobs):
-    g = make_grid(1, 32)
-    with pytest.raises(ValueError, match="jobs"):
-        study("h", base_scenario(g, c2=0.0, N=8, T=0.05), [8, 16], jobs=jobs)
