@@ -12,8 +12,9 @@ and K adv_n solved separately, and dual norms, the ledger and the study
 differences evaluated one step at a time, each dual norm through a checked
 linear solve instead of a spectral sum, and the ledger's other terms from
 ``np.diff`` face differences and the dense stencil. The stencil's
-bitwise reference is the padded-slice sum over ``np.pad``. The grid norms are
-exactly rounded ``math.fsum`` sums over ravelled fields. The pointwise time
+bitwise reference is the padded-slice sum over ``np.pad``, and the
+fraction-to-the-boundary step's is the masked two-sided quotient. The grid
+norms are exactly rounded ``math.fsum`` sums over ravelled fields. The pointwise time
 reconstructions of a run (linear and one-sided constant) are evaluated
 one time at a time, located against the level times.
 """
@@ -100,6 +101,17 @@ def padded_slice_laplacian(v, dx, d=None):
     else:
         lap = p[..., :-2, 1:-1] + p[..., 2:, 1:-1] + p[..., 1:-1, :-2] + p[..., 1:-1, 2:] - 4.0 * v
     return lap / dx**2
+
+
+def boundary_theta(u, du):
+    """Fraction-to-the-boundary step: 0.95 of the largest theta keeping u + theta*du in (-1, 1), at most 1.
+
+    The masked two-sided form: (1 - u)/du where du > 0, (u + 1)/(-du) where
+    du < 0, and no bound where du is +-0.
+    """
+    room = np.where(du > 0, (1.0 - u) / np.where(du > 0, du, 1.0), np.inf)
+    room = np.minimum(room, np.where(du < 0, (u + 1.0) / np.where(du < 0, -du, 1.0), np.inf))
+    return min(1.0, 0.95 * float(np.min(room)))
 
 
 def linear_step_solution(n, lam, eps, h, rhs):

@@ -176,7 +176,7 @@ def test_repeat_solve_builds_no_new_symbol(solver):
         "shifted": lambda: helmholtz_solve(g, rhs, alpha=0.3),
         "poisson": lambda: neumann_poisson_solve(g, rhs),
         "step": lambda: step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, rhs),
-        "direction": lambda: elliptic._newton_direction(g, np.full(g.shape, 0.5), 1e-3, rhs, 1.0, []),
+        "direction": lambda: elliptic._newton_direction(g, np.full(g.shape, 0.5), 1e-3, rhs, 1.0, [], 0.0),
     }[solver]
     solve()
     tables = (
@@ -254,13 +254,122 @@ def test_step_solve_matches_dense_power_oracle_2d():
 
 
 def test_step_solve_unconverged_direction_raises(monkeypatch):
-    # a Newton direction that misses its CG tolerance is never used
+    # a Newton direction that misses its CG tolerance is never used; with
+    # both the relative stop and the tolerance floor at 0 it cannot be met
     monkeypatch.setattr(elliptic, "_PCG_RTOL", 0.0)
+    monkeypatch.setattr(elliptic, "_NEWTON_FORCING", 0.0)
     g = make_grid(1, 16)
     rhs = np.cos(np.pi * g.axis)
     with pytest.raises(StepFailure, match="Newton direction CG") as info:
         step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, np.zeros(g.shape))
     assert info.value.residual is not None
+
+
+@pytest.mark.parametrize(
+    "rtol,floor,named",
+    [(1e-30, 0.0, "relative residual 1e-30"), (0.0, 1e-300, "the tolerance floor 1.000e-300")],
+    ids=["relative", "floor"],
+)
+def test_newton_direction_failure_names_the_stop_it_used(monkeypatch, rtol, floor, named):
+    monkeypatch.setattr(elliptic, "_PCG_RTOL", rtol)
+    g = make_grid(1, 16)
+    rhs = np.cos(np.pi * g.axis)
+    coef = 0.5 + 0.2 * rhs  # a constant coef is inverted exactly in one iteration
+    with pytest.raises(StepFailure, match=f"Newton direction CG missed {named} in 16 iterations"):
+        elliptic._newton_direction(g, coef, 1e-3, rhs, 1.0, [], floor)
+
+
+def _floor_case(case):
+    # a bounded-graph step whose solution reaches about 0.7, from 4-5 Newton
+    # directions: (grid, params, graph, rhs)
+    if case == "1d-abs_logit":
+        g = make_grid(1, 64)
+        rhs = 0.1 * np.cos(np.pi * g.axis) + 0.0125 * np.random.default_rng(21).standard_normal(g.shape)
+        return g, _params(), BetaSpec("abs_logit"), rhs
+    g = make_grid(2, 16)
+    rhs = 0.1 * oracles.mode_values(g, 1) + 0.0125 * np.random.default_rng(22).standard_normal(g.shape)
+    return g, _params(), BetaSpec("logit"), rhs
+
+
+def _counted_step(monkeypatch, g, params, b, rhs, opts):
+    # the step's solution with its _newton_direction and _dct_apply counts
+    directions = _count_calls(monkeypatch, "_newton_direction")
+    applies = _count_calls(monkeypatch, "_dct_apply")
+    u, _, _ = step_solve(g, params, b, PiSpec("zero"), rhs, np.zeros(g.shape), opts)
+    monkeypatch.undo()
+    return u, len(directions), len(applies)
+
+
+@pytest.mark.parametrize("case", ["1d-abs_logit", "2d-logit"])
+def test_floored_directions_keep_the_newton_path(monkeypatch, case):
+    # stopping each direction's CG at a thousandth of the Newton tolerance
+    # takes the same Newton directions with fewer transforms, and the
+    # accepted iterate still meets newton_tol on a recomputed true residual;
+    # two iterates within tol of the one solution of an equation monotone
+    # with constant lam lie within 2*tol/lam of each other
+    g, params, b, rhs = _floor_case(case)
+    opts = SolverOptions()
+    u, directions, applies = _counted_step(monkeypatch, g, params, b, rhs, opts)
+    monkeypatch.setattr(elliptic, "_NEWTON_FORCING", 0.0)
+    u_full, directions_full, applies_full = _counted_step(monkeypatch, g, params, b, rhs, opts)
+    assert directions == directions_full >= 3
+    assert applies < applies_full
+    h = params.h
+    r = params.lam * u - params.eps * h * laplacian_apply(g, u) + h * beta_eval(b, u) + helmholtz_solve(g, u) - rhs
+    tol = opts.newton_tol * max(1.0, norm_h(g, rhs))
+    assert norm_h(g, r) <= tol
+    assert norm_h(g, u - u_full) <= 2.0 * tol / params.lam
+
+
+def test_polish_direction_keeps_full_accuracy(monkeypatch):
+    # the Newton directions stop at the tolerance floor, the polish correction at 1e-13 relative
+    g, params, b, rhs = _floor_case("2d-logit")
+    floors = []
+    real = elliptic._newton_direction
+
+    def recorded(*args):
+        floors.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(elliptic, "_newton_direction", recorded)
+    step_solve(g, params, b, PiSpec("zero"), rhs, np.zeros(g.shape), SolverOptions(polish=True))
+    tol = 1e-10 * max(1.0, norm_h(g, rhs))
+    assert len(floors) >= 2
+    assert floors[:-1] == [elliptic._NEWTON_FORCING * tol / np.sqrt(g.cell_volume)] * (len(floors) - 1)
+    assert floors[-1] == 0.0
+
+
+def test_step_solve_refuses_a_floor_that_overflows(monkeypatch):
+    # the floor is forcing * tol / sqrt(h^d); a finite tol below the start
+    # residual's H norm (at most about 1e154) keeps it finite at forcing 1e-3,
+    # so the forcing is raised until forcing * tol is 1e307 and the grid's
+    # factor sqrt(4096) = 64 overflows it. An infinite stop would accept the
+    # first CG iterate
+    g = make_grid(1, 4096)
+    rhs = 3.0 * np.cos(np.pi * g.axis)
+    opts = SolverOptions(newton_tol=0.5)
+    tol = opts.newton_tol * norm_h(g, rhs)
+    monkeypatch.setattr(elliptic, "_NEWTON_FORCING", 1e307 / tol)
+    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="CG stop overflows: its tolerance floor is inf"):
+        step_solve(g, _params(), BetaSpec("power"), PiSpec("zero"), rhs, np.zeros(g.shape), opts)
+    for floor in (np.inf, np.nan):
+        with pytest.raises(StepFailure, match="CG stop overflows"):
+            elliptic._newton_direction(g, np.ones(g.shape), 1e-3, rhs, 1.0, [], floor)
+
+
+def test_boundary_theta_is_bitwise_the_two_sided_rule():
+    # one quotient per entry, then abs, against the masked two-sided form:
+    # (-1 - u)/du is bitwise (u + 1)/(-du), and the +-inf of a +-0 entry of du becomes +inf
+    rng = np.random.default_rng(31)
+    for draw in range(1000):
+        shape = (int(rng.integers(1, 300)),) if draw % 2 else (int(rng.integers(1, 65)),) * 2
+        u = rng.uniform(-1.0, 1.0, shape) * (1.0 - 10.0 ** -rng.uniform(0.0, 12.0))
+        du = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12.0, 4.0, shape)
+        zeros = rng.uniform(0.0, 1.0, shape) < 0.2
+        du[zeros] = np.where(rng.uniform(0.0, 1.0, shape) < 0.5, 0.0, -0.0)[zeros]
+        if draw % 7 == 0:
+            du[...] = np.copysign(0.0, du)  # no bound at all: theta is 1
+        assert elliptic._boundary_theta(u, du) == oracles.boundary_theta(u, du)
 
 
 @pytest.mark.parametrize("family", ["power", "logit"])
@@ -327,7 +436,7 @@ def test_newton_direction_refuses_a_right_hand_side_that_overflows():
     # an infinite CG stop would accept the first iterate
     g = make_grid(1, 16)
     with np.errstate(all="ignore"), pytest.raises(StepFailure, match="right-hand side overflows"):
-        elliptic._newton_direction(g, np.ones(g.shape), 1e-3, np.full(g.shape, 1e160), 1.0, [])
+        elliptic._newton_direction(g, np.ones(g.shape), 1e-3, np.full(g.shape, 1e160), 1.0, [], 0.0)
 
 
 @settings(max_examples=40)
@@ -577,7 +686,7 @@ def test_newton_direction_applies_no_stencil(monkeypatch):
     diffusion = 1e-3
     k_mult = 1.0 / (1.0 - _eigenvalues(2, 16))
     calls = _count_calls(monkeypatch, "_laplacian")
-    x = elliptic._newton_direction(g, coef, diffusion, rhs, 1.0, [])
+    x = elliptic._newton_direction(g, coef, diffusion, rhs, 1.0, [], 0.0)
     assert calls == []
     # the product without the stencil still solves the stencil system
     lap_x = laplacian_apply(g, x)
@@ -595,7 +704,7 @@ def _direction_counts(monkeypatch, g, coef, rhs, diffusion=1e-3):
     # one residual norm (elliptic._norm) per iteration after the norm of rhs
     applies = _count_calls(monkeypatch, "_dct_apply")
     norms = _count_calls(monkeypatch, "_norm")
-    x = elliptic._newton_direction(g, coef, diffusion, rhs, 1.0, [])
+    x = elliptic._newton_direction(g, coef, diffusion, rhs, 1.0, [], 0.0)
     monkeypatch.undo()
     return x, len(applies), len(norms) - 1
 
