@@ -253,10 +253,9 @@ def identity_report(traj, b, p, tol=1e-10):
 # inequality probes
 
 
-def smoothed_random_field(g, rng, opts=None, scale=1.0):
+def smoothed_random_field(g, rng, opts=None):
     """White nodal noise pushed twice through the shifted solve (a W-regular field), an array."""
-    smooth = helmholtz_solve(g, helmholtz_solve(g, rng.standard_normal(g.shape), opts), opts)
-    return smooth * float(scale)
+    return helmholtz_solve(g, helmholtz_solve(g, rng.standard_normal(g.shape), opts), opts)
 
 
 @dataclass
@@ -300,20 +299,25 @@ def check_pt_inequality(g, b, taus, trials, seed=0, opts=None):
     return PTReport(list(taus), trials, min_pairing, min_normalized, per_tau)
 
 
-def check_growth_bound(b, m0, tau, r_max=20.0, n_scan=20001):
+# the growth scan: _GROWTH_SCAN points on [-_GROWTH_R_MAX, _GROWTH_R_MAX], a quarter as many near m0
+_GROWTH_R_MAX = 20.0
+_GROWTH_SCAN = 20001
+
+
+def check_growth_bound(b, m0, tau):
     """Scan-certified constants (C1, C2) with beta_tau(r)(r - m0) >= C1|beta_tau(r)| - C2.
 
-    The scan covers [-r_max, r_max] with extra resolution near m0. C1 is
-    fixed at the heuristic ceiling 1 and C2 is the smallest value making
-    the inequality hold at every scan point (plus a roundoff cushion);
-    the certificate is re-verified before returning.
+    The scan covers [-20, 20] with extra resolution near m0. C1 is fixed at
+    the heuristic ceiling 1 and C2 is the smallest value making the
+    inequality hold at every scan point (plus a roundoff cushion); the
+    certificate is re-verified before returning.
     """
     lo, hi = b.domain
     if not lo < m0 < hi:
         raise ValueError(f"m0={m0} is not strictly inside the graph domain")
     r = np.unique(
         np.concatenate(
-            [np.linspace(-r_max, r_max, n_scan), np.linspace(m0 - 1.0, m0 + 1.0, n_scan // 4)]
+            [np.linspace(-_GROWTH_R_MAX, _GROWTH_R_MAX, _GROWTH_SCAN), np.linspace(m0 - 1.0, m0 + 1.0, _GROWTH_SCAN // 4)]
         )
     )
     bt = nl.yosida(b, tau, r)

@@ -5,18 +5,19 @@ come from the stencil symbol, mode recurrences from per-step 2x2 solves of
 the coupled equations restricted to one eigenvector, the linear and 2D
 power-graph step solutions from a dense reformulation assembled with plain
 numpy, closed forms from direct antiderivatives, CSV bytes from the
-standard ``csv`` module, DCT-diagonal operators from ``scipy.fft``,
-graph resolvents from plain bisection, a time step whose shifted solves
-are ``scipy.fft`` solves refined against the dense stencil, with K mu_n
-and K adv_n solved separately, and dual norms, the ledger and the study
-differences evaluated one step at a time, each dual norm through a checked
-linear solve instead of a spectral sum, and the ledger's other terms from
-``np.diff`` face differences and the dense stencil. The stencil's
-bitwise reference is the padded-slice sum over ``np.pad``, and the
-fraction-to-the-boundary step's is the masked two-sided quotient. The grid
-norms are exactly rounded ``math.fsum`` sums over ravelled fields. The pointwise time
-reconstructions of a run (linear and one-sided constant) are evaluated
-one time at a time, located against the level times.
+standard ``csv`` module, DCT-diagonal operators from ``scipy.fft``, graph
+resolvents from bisection over float64 bit patterns, a time step whose
+shifted solves are ``scipy.fft`` solves refined against the dense stencil,
+with K mu_n and K adv_n solved separately, and dual norms, the ledger and
+the study differences evaluated one step at a time, each dual norm through
+a checked linear solve instead of a spectral sum, and the ledger's other
+terms from ``np.diff`` face differences and the dense stencil. The
+stencil's bitwise reference is the padded-slice sum over ``np.pad``, and
+the fraction-to-the-boundary step's is the masked two-sided quotient. The
+grid norms are exactly rounded ``math.fsum`` sums over ravelled fields.
+The pointwise time reconstructions of a run (linear and one-sided
+constant) are evaluated one time at a time, located against the level
+times.
 """
 
 import csv
@@ -150,33 +151,33 @@ def _graph(b, x):
         return x
     if b.family == "power":
         return np.sign(x) * np.abs(x) ** b.m
-    logit = np.log((1.0 + x) / (1.0 - x))
+    logit = np.log1p(x) - np.log1p(-x)
     return logit if b.family == "logit" else np.abs(x) * logit
 
 
 def resolvent_bisect(b, tau, s):
-    """Root of r + tau*beta(r) = s by plain bisection, to 4*eps*max(1, |r|).
+    """Root of r + tau*beta(r) = s by bisection over the float64 bit patterns.
 
-    The root has the sign of s and |root| <= |s|, so [min(0, s), max(0, s)]
-    brackets it; bounded graphs clamp the bracket to the largest open
-    interval inside (-1, 1) representable in float64. The iteration keeps
-    g(lo) <= 0 < g(hi), so a root beyond the clamped bracket saturates at
-    its nearer end.
+    The root has the sign of s and |root| <= |s|, and bounded graphs cap
+    |root| at the largest double below 1. Between 0 and that cap the int64
+    bit patterns of the nonnegative doubles are ordered as their values, so
+    halving the pattern interval (at most 63 times) returns, for every
+    entry, the largest double x with x + tau*beta(x) <= |s|, given the sign
+    of s: the root rounded towards 0, or the cap for a root past it.
     """
     s = np.asarray(s, dtype=float)
-    lo, hi = np.minimum(0.0, s), np.maximum(0.0, s)
-    if b.family in ("logit", "abs_logit"):
-        lo = np.maximum(lo, np.nextafter(-1.0, 0.0))
-        hi = np.minimum(hi, np.nextafter(1.0, 0.0))
-    eps = np.finfo(float).eps
-    for _ in range(200):
-        x = 0.5 * (lo + hi)
-        if np.all(hi - lo <= 4.0 * eps * np.maximum(1.0, np.abs(x))):
-            return x
-        above = x + tau * _graph(b, x) - s > 0
-        hi = np.where(above, x, hi)
-        lo = np.where(above, lo, x)
-    raise RuntimeError("bisection did not shrink the bracket")
+    a = np.abs(s)
+    top = np.minimum(a, np.nextafter(1.0, 0.0)) if b.family in ("logit", "abs_logit") else a
+    # invariant: g(lo) <= 0 and hi is past every double with g <= 0
+    lo = np.zeros(a.shape, dtype=np.int64)
+    hi = top.view(np.int64) + 1
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        x = mid.view(np.float64)
+        below = x + tau * _graph(b, x) - a <= 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.copysign(lo.view(np.float64), s)
 
 
 def power_step_solution_2d(n, lam, eps, h, m, rhs, tol=1e-14, max_iter=100):

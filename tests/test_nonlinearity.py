@@ -91,6 +91,120 @@ def test_resolvent_trivial_cases():
     assert resolvent(BetaSpec("logit"), 0.5, 0.0) == 0.0
 
 
+def _mpmath_resolvent(mpmath, b, tau, s):
+    """Root of r + tau*beta(r) = s from bisection in the working precision.
+
+    The root is sought as t = r/|s| in [0, 1], where t + tau*beta(|s| t)/|s|
+    - 1 is of order 1 near the root and has slope at least 1, so 180 halvings
+    fix t to 1e-54 absolute, far inside a double's ulp for every t in the
+    samples. A bounded graph's root lies below min(1, 1/|s|). The logit is
+    written with log1p, which keeps its relative accuracy at tiny |s| t.
+    """
+    a = mpmath.mpf(abs(s))
+
+    def f(t):
+        r = a * t
+        if b.family == "power":
+            return t + tau * r**b.m / a - 1
+        logit = mpmath.log1p(r) - mpmath.log1p(-r)
+        return t + tau * (logit if b.family == "logit" else r * logit) / a - 1
+
+    lo = mpmath.mpf(0)
+    hi = 1 / a if b.bounded and a > 1 else mpmath.mpf(1)
+    for _ in range(180):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) <= 0 else (lo, mid)
+    return float(np.copysign(float(a * lo), s))
+
+
+def _resolvent_samples(family, m):
+    # s down to 1e-300 and tau up to 1e20; half the s above 1e-6, where
+    # tau*beta(s) is not negligible against s for most tau
+    rng = np.random.default_rng(17)
+    s = np.concatenate([10.0 ** rng.uniform(-300, 3, 12), 10.0 ** rng.uniform(-6, 3, 12)])
+    s *= rng.choice([-1.0, 1.0], s.size)
+    tau = 10.0 ** rng.uniform(-8, 20, s.size)
+    return [(family, m, float(t), float(x)) for t, x in zip(tau, s)]
+
+
+@pytest.mark.parametrize(
+    "family, m, tau, s",
+    [
+        # roots that stopping rules with absolute tolerances miss: a bracketed
+        # Newton iteration with bisection returns 9.375e-15, 9.90e-303, 5.4e-16
+        # and 0
+        ("power", 3.0, 1.0, 1e-14),
+        ("logit", 3.0, 100.0, 1e-300),
+        ("power", 3.0, 1e100, 1.0),
+        ("power", 3.0, 1.0, 5e-324),
+        *_resolvent_samples("power", 3.0),
+        *_resolvent_samples("power", 5.5),
+        *_resolvent_samples("logit", 3.0),
+        *_resolvent_samples("abs_logit", 3.0),
+    ],
+)
+def test_resolvent_matches_mpmath_to_a_few_ulps(family, m, tau, s):
+    mpmath = pytest.importorskip("mpmath")
+    b = BetaSpec(family, m=m)
+    with mpmath.workdps(40):
+        want = _mpmath_resolvent(mpmath, b, tau, s)
+    got = resolvent(b, tau, s)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_resolvent_is_bitwise_odd(family):
+    b = BetaSpec(family, m=5.5 if family == "power" else 3.0)
+    rng = np.random.default_rng(23)
+    s = np.concatenate([[0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e3], 10.0 ** rng.uniform(-300, 3, 500)])
+    for tau in (1e-8, 1e-3, 1.0, 1e3, 1e20):
+        pos, neg = resolvent(b, tau, s), resolvent(b, tau, -s)
+        assert np.array_equal(neg.view(np.int64), (-pos).view(np.int64)), tau
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_resolvent_rejects_non_finite_argument(family, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        resolvent(BetaSpec(family), 1.0, np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize(
+    "family, tau, s, what",
+    [
+        ("power", 1.0, 1e200, "overflows"),
+        ("abs_logit", 1e300, 1.0, "overflows"),
+        ("abs_logit", 1e300, -1e3, "overflows"),
+        ("logit", 1e308, 1.0, "overflows"),
+        # beta(r) at the root (r near 4.6e-134 and 7.1e-251) is below the
+        # smallest double, and an unchecked iteration returns 1.3e-108 and 1e-200
+        ("power", 1e300, 1e-100, "underflows"),
+        ("abs_logit", 1e300, -1e-200, "underflows"),
+        # an iterate whose beta flushed to 0 sits below the root with a slope
+        # of 2e11 against a g that moves at slope 1: unchecked, Newton crawls
+        # back up by 8e-71 a step
+        ("power5.5", 2.4347146025691444e275, -3.0316185382116314e-59, "underflows"),
+    ],
+)
+def test_resolvent_names_an_overflow_or_underflow(family, tau, s, what):
+    b = BetaSpec("power", m=5.5) if family == "power5.5" else BetaSpec(family)
+    with pytest.raises(RuntimeError, match=f"resolvent {what} at s="):
+        resolvent(b, tau, s)
+
+
+@pytest.mark.parametrize("family", ["logit", "abs_logit"])
+def test_resolvent_roots_within_ulps_of_one(family):
+    # r + tau*beta(r) rounded to s moves the root by far less than an ulp,
+    # so each s has r for its root to within an ulp of 1
+    b = BetaSpec(family)
+    r = np.concatenate([1.0 - np.arange(1, 65) * 2.0**-53, 1.0 - 2.0 ** -np.arange(30.0, 53.0)])
+    for tau in (1e-8, 1e-3, 1.0, 1e3):
+        s = r + tau * beta_eval(b, r)
+        got = resolvent(b, tau, np.concatenate([s, -s]))
+        assert np.all(np.abs(got) < 1.0)
+        assert np.max(np.abs(got - np.concatenate([r, -r]))) <= 2.0**-53, tau
+
+
 def test_yosida_trivial_cases():
     for family in ALL_FAMILIES:
         assert yosida(BetaSpec(family), 0.7, 0.0) == 0.0
@@ -217,9 +331,10 @@ def test_resolvent_inverts_shifted_graph(spec, tau, s):
             return np.copysign(np.inf, x)
         return x + tau * beta_eval(b, x) - s
 
-    # the documented contract: the residual meets 1e-13*max(1, |s|) or, on a
-    # graph too steep for that, the root lies within 4*eps*max(1, |r|) of r
-    # (for bounded graphs possibly between r and the endpoint)
+    # a check that needs no reference root: the residual meets
+    # 1e-13*max(1, |s|) or, on a graph too steep for that, the root lies
+    # within 4*eps*max(1, |r|) of r (for bounded graphs possibly between r
+    # and the endpoint)
     tol = 1e-13 * max(1.0, abs(s))
     width = 4.0 * np.finfo(float).eps * max(1.0, abs(r))
     bracketed = g(r - width) <= tol and g(r + width) >= -tol
