@@ -13,7 +13,12 @@ with NumPy alone (``_dct_apply``). In 1D that operator is a circular
 convolution of the mirror extension: one real FFT pair of length 2n,
 O(n log n). In 2D it is C^T ((C X C^T) * mult) C with the dense
 orthonormal DCT-II matrix C: four n x n matrix products, O(n^3) per apply.
-The 2D form trades large grids for small ones. Per apply on a 2-vCPU VM,
+C^T is a cached C-contiguous copy, not the view C.T, for which OpenBLAS
+takes a slower path: 40.5 against 46.1 us per apply at 64x64, 21.1 against
+23.6 us at 48x48, and never slower from n=17 to 256 (NumPy 2.4.6, 2-vCPU
+VM). The results are bitwise those of the view at n = 4, 48, 64, 128, 129
+and 256, and differ by roundoff at some other n (17, 33 and 100 among
+those tried). The 2D form trades large grids for small ones. Per apply,
 against scipy.fft's DCTs, it took 0.06 ms instead of 0.09 ms at n=64, but
 0.41 ms instead of 0.33 ms at n=128 and 2.7 ms instead of 1.4 ms at
 n=256, where a time step (power graph) took about 9% longer.
@@ -49,9 +54,25 @@ started from the previous time level. The start's residual needs no work
 the previous step did not already do: its K u is the stored potential and
 its rhs-free part lam*u - eps*h*Lap u + h*beta(u) + h*pi(u) is carried
 from the previous step solve, which returns it for its accepted iterate;
-both are recomputed where the clip of a bounded graph moves the start. Residual backtracking, plus a
+both are recomputed where the clip of a bounded graph moves the start. A
+zero perturbation pi is never evaluated. Residual backtracking, plus a
 fraction-to-the-boundary rule on bounded graphs, globalizes the iteration
 for this monotone equation; a step that still fails raises StepFailure.
+
+An iterate is accepted once its residual is below newton_tol * max(1,
+|rhs|_H) or below the residual's evaluation floor at the iterate the last
+direction started from, whichever is larger:
+
+    (log2(node_count) + 16) * eps_mach * (|coef*u|_H + (1 + eps*h*|Lap|_2) * |u|_H)
+
+with coef = lam + h*beta'(u) + h*pi'(u), the diagonal that direction
+already formed. The first term is what an ulp of u moves the local part of
+the residual by, large near a bounded graph's ends; the second bounds the
+roundings of the stencil term, which grow as n^2, and of K u. The constant
+counts roundings on the longest path to a term, as the ledger's energy row
+does (_FLOOR_ROUNDINGS). On the benchmark workloads the floor stays below
+3e-4 times the tolerance, so the tolerance decides; at 1D n=8192 and
+newton_tol 1e-13, Newton stagnated at 2.3e-13 before the floor was granted.
 The Newton operator lam + D - eps*h*Lap + (I - Lap)^(-1), D diagonal, is
 symmetric positive definite under the same condition, so each direction
 comes from matrix-free conjugate gradients. CG stops at a residual of
@@ -113,6 +134,9 @@ def __getattr__(name):
 
         return scipy.sparse.linalg
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 class SolverFailure(RuntimeError):
@@ -204,15 +228,28 @@ def _dct_matrix(n):
     return c
 
 
+@functools.lru_cache(maxsize=16)
+def _dct_transpose(n):
+    """C^T of ``_dct_matrix(n)`` as its own C-contiguous array; read-only, cached per n.
+
+    OpenBLAS takes a slower path for the transposed view ``c.T``: a 64x64
+    apply took 46.1 us with the view and 40.5 us with this copy.
+    """
+    ct = np.ascontiguousarray(_dct_matrix(n).T)
+    ct.setflags(write=False)
+    return ct
+
+
 def _dct_apply(values, mult):
     """Apply the operator that is multiplication by ``mult`` on the DCT-II modes.
 
     1D: the operator is a circular convolution of the even (mirror)
     extension, so one real FFT pair of length 2n applies it in O(n log n);
     coefficient n of the extension is zero for every input and stays zero.
-    2D: C^T ((C X C^T) * mult) C with the cached orthonormal DCT-II matrix C,
-    O(n^3) per apply in four BLAS products: faster than FFT-based DCTs up
-    to n=64, slower from n=128 on (the module docstring has the figures).
+    2D: C^T ((C X C^T) * mult) C with the cached orthonormal DCT-II matrix C
+    and its cached contiguous transpose, O(n^3) per apply in four BLAS
+    products: faster than FFT-based DCTs up to n=64, slower from n=128 on
+    (the module docstring has the figures, and those of the transpose).
     """
     if values.ndim == 1:
         n = values.size
@@ -221,10 +258,11 @@ def _dct_apply(values, mult):
         coef[n] = 0.0
         # copy: a slice would keep the whole length-2n buffer alive
         return np.fft.irfft(coef, 2 * n)[:n].copy()
-    c = _dct_matrix(values.shape[0])
-    coef = c @ values @ c.T
+    n = values.shape[0]
+    c, ct = _dct_matrix(n), _dct_transpose(n)
+    coef = c @ values @ ct
     coef *= mult
-    return c.T @ coef @ c
+    return ct @ coef @ c
 
 
 @functools.lru_cache(maxsize=16)
@@ -243,14 +281,14 @@ def _dct_coefficients(stack):
     1D: mode k of the rfft of the mirror extension is
     2*exp(i*pi*k/(2n)) times the unnormalized DCT-II coefficient, so the
     same length-2n FFT as ``_dct_apply`` gives it after a phase factor.
-    2D: C X C^T with the cached DCT-II matrix C, broadcast over the batch.
+    2D: C X C^T with the cached DCT-II matrix C and its cached contiguous
+    transpose, broadcast over the batch.
     """
     n = stack.shape[-1]
     if stack.ndim == 2:
         coef = np.fft.rfft(np.concatenate((stack, stack[:, ::-1]), axis=1), axis=1)
         return (coef[:, :n] * _dct_phase(n)).real
-    c = _dct_matrix(n)
-    return c @ stack @ c.T
+    return _dct_matrix(n) @ stack @ _dct_transpose(n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -275,15 +313,20 @@ def _checked_solve(g, b, shift, alpha, tol, what, x=None):
     # Written as ``not rnorm <= limit`` so that a NaN residual fails; so does
     # a limit whose squares overflowed, which any residual would meet.
     # The residual b - (shift*x - alpha*Lap x) is formed in place, in that order.
+    # A factor of exactly 1 is skipped, which leaves the bits as they are.
     if x is None:
         x = _dct_apply(b, _inverse_symbol(g.d, g.n, shift, alpha))
     lap = _laplacian(x, g.dx)
-    lap *= alpha
-    res = shift * x
-    res -= lap
+    if alpha != 1.0:
+        lap *= alpha
+    if shift == 1.0:
+        res = x - lap
+    else:
+        res = shift * x
+        res -= lap
     np.subtract(b, res, out=res)
     rnorm = _norm(res)
-    limit = tol + 8.0 * np.finfo(float).eps * _op_norm(g.d, g.n, shift, alpha) * _norm(x)
+    limit = tol + 8.0 * _EPS_MACH * _op_norm(g.d, g.n, shift, alpha) * _norm(x)
     if not rnorm <= limit:
         raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
     if limit == np.inf:
@@ -385,7 +428,8 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
     -------
     (ndarray, ndarray, ndarray)
         The unique solution u, with final residual below
-        ``newton_tol * max(1, |rhs|_H)``; v = K u; and the rhs-free part
+        ``newton_tol * max(1, |rhs|_H)`` or, where that is larger, below the
+        residual's evaluation floor (module docstring); v = K u; and the rhs-free part
         of the residual at u, bitwise what a fresh evaluation at u gives,
         for the next step's ``local_warm``. v is the K u that the accepted
         iterate's residual formed from the same symbol table as
@@ -428,6 +472,11 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
     k_mult = _inverse_symbol(g.d, g.n, 1.0, 1.0)
     diffusion = eps * h
     tol = opts.newton_tol * max(1.0, np.sqrt(_pair(g, rhs, rhs)))
+    # the zero perturbation adds nothing to the residual or the Newton coefficient
+    perturbed = p.family != "zero"
+    # the residual's evaluation floor per unit of |coef*u|_H + (1 + eps*h*|Lap|_2)*|u|_H
+    floor_unit = (math.log2(g.node_count) + _FLOOR_ROUNDINGS) * _EPS_MACH
+    lap_share = 1.0 + diffusion * _op_norm(g.d, g.n, 0.0, 1.0)
     history = []
 
     def residual(uu, ku=None, local=None):
@@ -440,30 +489,48 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
             lap *= diffusion
             local = lam * uu
             local -= lap
-            for term in (nl.beta_eval(b, uu), nl.pi_eval(p, eps, uu)):
-                term *= h
-                local += term
+            graph = nl.beta_eval(b, uu)
+            graph *= h
+            local += graph
+            if perturbed:
+                graph = nl.pi_eval(p, eps, uu)
+                graph *= h
+                local += graph
         if ku is None:
             ku = _dct_apply(uu, k_mult)
         res = local + ku
         res -= rhs
         return res, ku, local
 
-    def direction(at, res, rnorm, floor):
+    def newton_coef(at):
+        # lam + h*beta'(at) + h*pi'(at), the diagonal of the Newton operator
         coef = nl.beta_prime(b, at)
-        coef += nl.pi_prime(p, eps, at)
+        if perturbed:
+            coef += nl.pi_prime(p, eps, at)
         coef *= h
         coef += lam
-        return _newton_direction(g, coef, diffusion, -res, rnorm, history, floor)
+        return coef
+
+    def accept_limit(at, coef):
+        # tol, or the evaluation floor of the residual at ``at`` where that is
+        # larger (module docstring): a Newton iterate is a double, so the
+        # residual cannot resolve a move below an ulp of it. A floor that
+        # overflows grants nothing, so no acceptance reads inf <= inf
+        spread = coef * at
+        floor = floor_unit * (math.sqrt(_pair(g, spread, spread)) + lap_share * math.sqrt(_pair(g, at, at)))
+        return max(tol, floor) if floor < np.inf else tol
 
     u = warm.copy()
-    if b.bounded:
+    # a start that a max and a min place inside the clip needs none
+    if b.bounded and not (u.max() < 1.0 - 1e-12 and u.min() > -1.0 + 1e-12):
         u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
         if not np.array_equal(u, warm):
             k_warm = local_warm = None
     r1, ku, local = residual(u, k_warm, local_warm)
     rn = np.sqrt(_pair(g, r1, r1))
-    if not np.all(np.isfinite(r1)):
+    # a finite norm of squares has no inf or NaN among them, so only a norm
+    # that is not finite needs the entrywise test
+    if not rn < np.inf and not np.all(np.isfinite(r1)):
         raise StepFailure("Newton start has a non-finite residual", residual=rn)
     # each acceptance below compares a norm with these limits; inf <= inf would pass
     if not (rn < np.inf and tol < np.inf):
@@ -471,10 +538,17 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
     # a direction's CG may stop at this share of tol, in the Euclidean norm it
     # takes (|x|_H = sqrt(h^d) * |x|); acceptance stays on the true residual
     cg_floor = _NEWTON_FORCING * tol / math.sqrt(g.cell_volume)
+    # the acceptance limit: tol until a direction's coefficient gives the floor
+    # at the iterate it starts from, which then serves until the next direction
+    limit = tol
     for _ in range(opts.max_newton):
-        if rn <= tol:
+        if rn <= limit:
             break
-        du = direction(u, r1, rn, cg_floor)
+        coef = newton_coef(u)
+        limit = accept_limit(u, coef)
+        if rn <= limit:
+            break
+        du = _newton_direction(g, coef, diffusion, -r1, rn, history, cg_floor)
         theta = _boundary_theta(u, du) if b.bounded else 1.0
         accepted = False
         while theta > 2.0**-40:
@@ -485,7 +559,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
                 theta *= 0.5
                 continue
             rt = np.sqrt(_pair(g, r1t, r1t))
-            if rt <= (1.0 - 0.25 * theta) * rn or rt <= tol:
+            if rt <= (1.0 - 0.25 * theta) * rn or rt <= limit:
                 u, r1, rn, ku, local = ut, r1t, rt, kut, localt
                 history.append(rn)
                 accepted = True
@@ -497,17 +571,17 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
                 residual=rn,
                 history=history,
             )
-    if rn > tol:
+    if not rn <= limit:
         raise StepFailure(
-            f"Newton used {opts.max_newton} iterations, residual {rn:.3e} above {tol:.3e}",
+            f"Newton used {opts.max_newton} iterations, residual {rn:.3e} above {limit:.3e}",
             residual=rn,
             history=history,
         )
     if opts.polish and history:
         # one more full Newton step (quadratic convergence) from just inside
-        # tol; a start that already met tol is returned as it is
+        # the limit; a start that already met it is returned as it is
         try:
-            ut = u + direction(u, r1, rn, 0.0)
+            ut = u + _newton_direction(g, newton_coef(u), diffusion, -r1, rn, history, 0.0)
             r1t, kut, localt = residual(ut)
             rt = np.sqrt(_pair(g, r1t, r1t))
         except (StepFailure, nl.OutOfDomainError):
@@ -517,6 +591,12 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
     return u, _shifted_solve(g, u, 1.0, opts, ku), local
 
 
+# roundings, beyond log2(node_count), on the longest path to a term of the
+# Newton residual (see accept_limit in step_solve): 7 forming the stencil term
+# (four sums, the 4*v product, the division, the factor eps*h), up to 4 for the
+# graph's (its ulps, a power and h), 5 summing the six terms and 1 rounding the
+# iterate itself; log2(node_count) covers the sums inside the transform of K u
+_FLOOR_ROUNDINGS = 16
 # relative residual at which a Newton direction counts as solved
 _PCG_RTOL = 1e-13
 # share of the Newton tolerance at which a direction's CG may stop before it
@@ -530,8 +610,10 @@ def _boundary_theta(u, du):
     # fraction to the boundary: 0.95 of the largest step along du that keeps
     # u + theta*du inside (-1, 1), capped at 1. (-1 - u)/du is bitwise
     # (u + 1)/(-du), since rounding is sign-symmetric, and the abs turns the
-    # +-inf of a +-0 entry of du into +inf, which never binds
-    room = np.where(du > 0, 1.0 - u, -1.0 - u)
+    # +-inf of a +-0 entry of du into +inf, which never binds (room is never 0
+    # there: u lies strictly inside)
+    room = np.copysign(1.0, du)  # 1 - u where du > 0, -1 - u where du < 0
+    room -= u
     with np.errstate(divide="ignore"):
         room /= du
     np.abs(room, out=room)

@@ -136,21 +136,29 @@ def advective_divergence(g, u, v):
     Face values of u are arithmetic means of the two adjacent nodes, the
     gradient of v is the face-centered difference, and the normal flux
     vanishes on the boundary, so the output telescopes to exact zero mean.
+
+    The arrays are read flat, as ``_laplacian`` reads them: the two nodes of
+    a face along the axis of stride s are the flat offsets k and k + s, so
+    every term is a contiguous slice. Along the last axis of a 2D grid the
+    pairs that straddle two rows get zero flux, and adding or subtracting
+    that +0 leaves every entry as it was (none is -0), so the result is
+    bitwise the per-axis form, and costs about a third less at 64x64.
     """
     _on_grid(g, u, v)
-    out = np.zeros(g.shape)
-    for axis in range(g.d):
-        head = (slice(None),) * axis + (slice(None, -1),)
-        tail = (slice(None),) * axis + (slice(1, None),)
-        flux = u[tail] + u[head]  # 0.5 * (u[tail] + u[head]) * ((v[tail] - v[head]) / dx), in place
+    uf, vf = u.reshape(-1), v.reshape(-1)
+    out = np.zeros(g.node_count)
+    for stride in (g.n, 1) if g.d == 2 else (1,):
+        flux = uf[stride:] + uf[:-stride]  # 0.5 * (u[k+s] + u[k]) * ((v[k+s] - v[k]) / dx), in place
         flux *= 0.5
-        dv = v[tail] - v[head]
+        dv = vf[stride:] - vf[:-stride]
         dv /= g.dx
         flux *= dv
-        out[head] += flux
-        out[tail] -= flux
+        if stride == 1 and g.d == 2:
+            flux[g.n - 1 :: g.n] = 0.0  # pairs that straddle two rows
+        out[:-stride] += flux
+        out[stride:] -= flux
     out /= g.dx
-    return out
+    return out.reshape(g.shape)
 
 
 def _sum(g, x):

@@ -13,7 +13,8 @@ the study differences evaluated one step at a time, each dual norm through
 a checked linear solve instead of a spectral sum, and the ledger's other
 terms from ``np.diff`` face differences and the dense stencil. The
 stencil's bitwise reference is the padded-slice sum over ``np.pad``, and
-the fraction-to-the-boundary step's is the masked two-sided quotient. The
+the fraction-to-the-boundary step's is the masked two-sided quotient, and
+the advective divergence's is the axis-by-axis sum on the grid's shape. The
 grid norms are exactly rounded ``math.fsum`` sums over ravelled fields.
 The pointwise time reconstructions of a run (linear and one-sided
 constant) are evaluated one time at a time, located against the level
@@ -412,3 +413,20 @@ def solve_uhat_diff_norms(traj_a, traj_b, opts=None):
         pairs = fsum_pair(g, fields[k], solved[k]) + fsum_pair(g, fields[k], solved[k + 1])
         l2v += dt * (pairs + fsum_pair(g, fields[k + 1], solved[k + 1])) / 3.0
     return float(max(fsum_norms(g, f)["norm_h"] for f in fields)), float(np.sqrt(max(l2v, 0.0)))
+
+
+def per_axis_advective_divergence(g, u, v):
+    """Face-flux divergence of u_face * dv_face formed axis by axis on the grid's shape (no flat slices)."""
+    out = np.zeros(g.shape)
+    for axis in range(g.d):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        flux = u[tail] + u[head]
+        flux *= 0.5
+        dv = v[tail] - v[head]
+        dv /= g.dx
+        flux *= dv
+        out[head] += flux
+        out[tail] -= flux
+    out /= g.dx
+    return out

@@ -225,6 +225,21 @@ def test_check_identities_command(capsys):
     assert out.count("pass") == 4
 
 
+@pytest.mark.parametrize("family", ["logit", "power"])
+def test_check_identities_at_the_newton_floor(family):
+    # 1D n=8192: the Newton residual's stencil term costs about 2.4e-12 to
+    # evaluate, above the 1e-13 that check-identities asks for; Newton
+    # stagnated at 2.3e-13 before the step accepted at that floor
+    text = (
+        RUNNABLE.replace("n = 48", "n = 8192")
+        .replace("lambda = 0.02", "lambda = 0.01")
+        .replace("N = 8\nT = 0.1", "N = 16\nT = 0.01")
+        .replace("family = power\nm = 3\nc1 = 0.25\nc2 = 0", f"family = {family}")
+        .replace("k = 1\nsmooth = false", "amplitude = 0.9")
+    )
+    assert dispatch("check-identities", parse_config(text)) == 0
+
+
 def test_simulate_writes_artifacts(tmp_path):
     cfg = parse_config(RUNNABLE)
     out = tmp_path / "runA"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import chemhill.diagnostics
 import chemhill.elliptic as elliptic
 import chemhill.limits
+import chemhill.nonlinearity as nl
 
 from chemhill.elliptic import (
     CompatibilityError,
@@ -22,7 +23,7 @@ from chemhill.elliptic import (
     vstar_norm,
 )
 from chemhill.grid import inner_h, laplacian_apply, make_grid, mean, norm_h, norm_v, seminorm_v
-from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval, pi_eval, yosida
+from chemhill.nonlinearity import BetaSpec, PiSpec, beta_eval, beta_prime, pi_eval, yosida
 from chemhill.scheme import SimParams
 
 import oracles
@@ -183,6 +184,7 @@ def test_repeat_solve_builds_no_new_symbol(solver):
         elliptic._inverse_symbol,
         elliptic._eigenvalues,
         elliptic._dct_matrix,
+        elliptic._dct_transpose,
         elliptic._newton_symbol,
         elliptic._op_norm,
     )
@@ -197,7 +199,15 @@ def test_repeat_solve_builds_no_new_symbol(solver):
 @pytest.mark.parametrize("module", [chemhill.diagnostics, chemhill.limits])
 def test_post_processing_binds_no_transform_or_symbol(module):
     # the dual pairings come from elliptic.dual_coefficients alone
-    spectral = ("_dct_apply", "_dct_coefficients", "_dct_matrix", "_dct_phase", "_eigenvalues", "_inverse_symbol")
+    spectral = (
+        "_dct_apply",
+        "_dct_coefficients",
+        "_dct_matrix",
+        "_dct_transpose",
+        "_dct_phase",
+        "_eigenvalues",
+        "_inverse_symbol",
+    )
     assert not set(spectral) & set(vars(module))
     spectral_objects = [getattr(elliptic, name) for name in spectral]
     assert not [v for v in vars(module).values() if any(v is f for f in spectral_objects)]
@@ -498,11 +508,93 @@ def test_step_solve_failure_carries_history():
     params = _params()
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(g.shape)
-    opts = SolverOptions(newton_tol=1e-17, max_newton=50)
-    with pytest.raises(StepFailure) as info:
+    opts = SolverOptions(max_newton=1)  # one Newton iteration cannot meet the tolerance
+    with pytest.raises(StepFailure, match="Newton used 1 iterations") as info:
         step_solve(g, params, BetaSpec("power"), PiSpec("zero"), rhs, np.zeros(g.shape), opts)
     assert info.value.residual is not None
     assert len(info.value.history) >= 1
+
+
+def _count_graph_calls(monkeypatch, names):
+    # calls of chemhill.nonlinearity.<name> for each name, in call order
+    calls = []
+    for name in names:
+        real = getattr(nl, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(nl, name, counted)
+    return calls
+
+
+def test_zero_perturbation_is_never_evaluated(monkeypatch):
+    # a zero perturbation adds nothing to the residual or the Newton
+    # coefficient, so the step skips it and gives what a tanh perturbation
+    # with budget 0 gives, whose terms are all +-0
+    g, params, b, rhs = _floor_case("2d-logit")
+    calls = _count_graph_calls(monkeypatch, ("pi_eval", "pi_prime"))
+    want = step_solve(g, params, b, PiSpec("tanh_decay", c3=0.0), rhs, np.zeros(g.shape))
+    assert {"pi_eval", "pi_prime"} <= set(calls)
+    calls.clear()
+    got = step_solve(g, params, b, PiSpec("zero"), rhs, np.zeros(g.shape))
+    assert calls == []
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+def _newton_floor(g, params, b, u):
+    # the residual's evaluation floor at u as the module docstring states it
+    h = params.h
+    coef = params.lam + h * beta_prime(b, u)
+    lap_norm = -float(_eigenvalues(g.d, g.n).min())
+    unit = (np.log2(g.node_count) + 16) * np.finfo(float).eps
+    return unit * (norm_h(g, coef * u) + (1.0 + params.eps * h * lap_norm) * norm_h(g, u))
+
+
+@pytest.mark.parametrize("family", ["logit", "power"])
+def test_step_solve_accepts_at_the_evaluation_floor(family):
+    # at 1D n=8192 evaluating the residual's eps*h*Lap u costs about
+    # eps_mach * eps*h*|Lap|_2 * |u| = 2.4e-12, and Newton stagnated at
+    # 4.9e-13 (logit) and 6.0e-13 (power) against newton_tol 1e-13; the step
+    # is accepted below the floor instead
+    g = make_grid(1, 8192)
+    params = _params(N=16, T=0.01)
+    b = BetaSpec(family)
+    u0 = 0.9 * np.cos(np.pi * g.axis)
+    rhs = params.lam * u0 + helmholtz_solve(g, u0) + 0.01 * np.cos(2 * np.pi * g.axis)
+    u, _, _ = step_solve(g, params, b, PiSpec("zero"), rhs, u0, SolverOptions(newton_tol=1e-13))
+    h = params.h
+    r = params.lam * u - params.eps * h * laplacian_apply(g, u) + h * beta_eval(b, u) + helmholtz_solve(g, u) - rhs
+    assert 1e-13 * max(1.0, norm_h(g, rhs)) < norm_h(g, r) <= _newton_floor(g, params, b, u)
+
+
+def test_step_solve_accepts_a_saturated_step_at_its_floor():
+    # the solution lies within 1.1e-8 of 1, where h*beta'(u) is about 2e6:
+    # an ulp of u moves the residual by about 2e-10, and Newton stagnated at
+    # 2.9e-11 against newton_tol 1e-12
+    g = make_grid(1, 32)
+    params, b = _params(), BetaSpec("logit")
+    rhs = 0.5 * np.cos(np.pi * g.axis)
+    u, _, _ = step_solve(g, params, b, PiSpec("zero"), rhs, np.zeros(g.shape), SolverOptions(newton_tol=1e-12))
+    assert 1.0 - np.max(np.abs(u)) < 1e-7
+    h = params.h
+    r = params.lam * u - params.eps * h * laplacian_apply(g, u) + h * beta_eval(b, u) + helmholtz_solve(g, u) - rhs
+    assert 1e-12 < norm_h(g, r) <= _newton_floor(g, params, b, u)
+
+
+def test_newton_floor_reads_what_the_direction_forms(monkeypatch):
+    # the floor takes its coefficient from the direction and makes no stencil,
+    # transform or graph evaluation of its own: beta' once per direction, and
+    # beta and one stencil per residual, plus the stencil of the final K check
+    g, params, b, rhs = _floor_case("2d-logit")
+    graph = _count_graph_calls(monkeypatch, ("beta_eval", "beta_prime"))
+    stencils = _count_calls(monkeypatch, "_laplacian")
+    directions = _count_calls(monkeypatch, "_newton_direction")
+    step_solve(g, params, b, PiSpec("zero"), rhs, np.zeros(g.shape))
+    assert len(directions) == graph.count("beta_prime") >= 3
+    assert len(stencils) == graph.count("beta_eval") + 1
 
 
 def test_step_operator_coercivity_probe():
@@ -631,6 +723,10 @@ def test_eigenvalues_keep_low_modes_accurate(n):
 def test_dct_matrix_is_orthonormal(n):
     c = _dct_matrix(n)
     assert not c.flags.writeable
+    # the 2D apply's C^T is its own read-only, C-contiguous copy
+    ct = elliptic._dct_transpose(n)
+    assert not ct.flags.writeable and ct.flags.c_contiguous
+    assert np.array_equal(ct, c.T)
     assert np.max(np.abs(c @ c.T - np.eye(n))) <= 1e-14
     assert np.max(np.abs(c.T @ c - np.eye(n))) <= 1e-14
 

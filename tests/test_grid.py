@@ -205,6 +205,27 @@ def test_advective_divergence_exact_zero_mean(d):
         assert abs(mean(g, advective_divergence(g, u, v))) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [4, 17, 48, 64])
+@pytest.mark.parametrize("d", [1, 2])
+def test_advective_divergence_is_bitwise_the_per_axis_form(d, n):
+    # the flat-slice form, whose row-straddling pairs carry a zero flux, has
+    # the bits and the signs of zero of the axis-by-axis sum
+    g = make_grid(d, n)
+    rng = np.random.default_rng(100 * d + n)
+    for draw in range(20):
+        u = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-3.0, 3.0, g.shape)
+        v = rng.standard_normal(g.shape)
+        if draw % 3 == 0:
+            u[rng.uniform(0.0, 1.0, g.shape) < 0.5] = -0.0
+        if draw % 4 == 0:
+            v[...] = np.copysign(0.0, v)
+        got = advective_divergence(g, u, v)
+        want = oracles.per_axis_advective_divergence(g, u, v)
+        assert got.shape == g.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_advective_divergence_second_order():
     # d/dx(cos(pi x) * d/dx cos(pi x)) = -pi^2 cos(2 pi x)
     errs = {}

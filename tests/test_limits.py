@@ -98,7 +98,8 @@ def test_study_rejects_nondecreasing_levels():
 def test_study_marks_failed_level():
     g = make_grid(1, 32)
     sc = base_scenario(g, c2=0.0, N=8, T=0.1)
-    rep = study("h", sc, [8, 16], opts=SolverOptions(newton_tol=1e-17, max_newton=20))
+    # one Newton iteration per step cannot meet the tolerance
+    rep = study("h", sc, [8, 16], opts=SolverOptions(max_newton=1))
     assert rep.failed_level is not None
     assert rep.diffs_linf_h == []
     assert "residual" in rep.failure_message or "stagnated" in rep.failure_message

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemhill.nonlinearity as nl
 from chemhill.grid import make_grid
 from chemhill.nonlinearity import (
     BetaSpec,
@@ -111,6 +112,13 @@ def _mpmath_resolvent(mpmath, b, tau, s):
 
     lo = mpmath.mpf(0)
     hi = 1 / a if b.bounded and a > 1 else mpmath.mpf(1)
+    # tau*beta(r) <= a bounds the root by (a/tau)^(1/m) (power) or
+    # sqrt(a/(2 tau)) (abs_logit), and the root is at least half that bound,
+    # so the halvings keep their relative accuracy on roots far below |s|
+    if b.family == "power":
+        hi = min(hi, (a / tau) ** (1 / mpmath.mpf(b.m)) / a)
+    elif b.family == "abs_logit":
+        hi = min(hi, mpmath.sqrt(a / (2 * mpmath.mpf(tau))) / a)
     for _ in range(180):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if f(mid) <= 0 else (lo, mid)
@@ -137,6 +145,13 @@ def _resolvent_samples(family, m):
         ("logit", 3.0, 100.0, 1e-300),
         ("power", 3.0, 1e100, 1.0),
         ("power", 3.0, 1.0, 5e-324),
+        # roots whose start at |s| overflowed beta: 2.2e34, 4.6e66, 2.2e53,
+        # 7.1e-151 and 2.2e-149
+        ("power", 3.0, 1.0, 1e103),
+        ("power", 3.0, 1.0, 1e200),
+        ("power", 3.0, 1e-10, 1e150),
+        ("abs_logit", 3.0, 1e300, 1.0),
+        ("abs_logit", 3.0, 1e300, -1e3),
         *_resolvent_samples("power", 3.0),
         *_resolvent_samples("power", 5.5),
         *_resolvent_samples("logit", 3.0),
@@ -172,9 +187,10 @@ def test_resolvent_rejects_non_finite_argument(family, bad):
 @pytest.mark.parametrize(
     "family, tau, s, what",
     [
-        ("power", 1.0, 1e200, "overflows"),
-        ("abs_logit", 1e300, 1.0, "overflows"),
-        ("abs_logit", 1e300, -1e3, "overflows"),
+        # 1 + tau*beta'(r) is inf at the root (about 1, 0.71, 0.9999 and 5e-309)
+        ("power", 1e308, 1e308, "overflows"),
+        ("abs_logit", 1e308, 1e308, "overflows"),
+        ("abs_logit", 1e307, -1e308, "overflows"),
         ("logit", 1e308, 1.0, "overflows"),
         # beta(r) at the root (r near 4.6e-134 and 7.1e-251) is below the
         # smallest double, and an unchecked iteration returns 1.3e-108 and 1e-200
@@ -203,6 +219,46 @@ def test_resolvent_roots_within_ulps_of_one(family):
         got = resolvent(b, tau, np.concatenate([s, -s]))
         assert np.all(np.abs(got) < 1.0)
         assert np.max(np.abs(got - np.concatenate([r, -r]))) <= 2.0**-53, tau
+
+
+def test_logit_within_an_ulp_of_mpmath():
+    # ln((1+r)/(1-r)) as 2*atanh(r), against 40 digits, near +-1 and on tiny
+    # arguments down to the smallest subnormal; log1p(r) - log1p(-r) strays
+    # to 1.16 ulps on these samples
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    r = np.concatenate(
+        [
+            1.0 - 2.0 ** -np.arange(1.0, 54.0),
+            1.0 - rng.uniform(0.0, 1e-3, 300),
+            10.0 ** -rng.uniform(0.0, 300.0, 300),
+            [5e-324, 1e-310, 2.0**-1022],
+            rng.uniform(-1.0, 1.0, 400),
+        ]
+    )
+    r = np.concatenate([r, -r])
+    got = nl._logit(r)
+    with mpmath.workdps(40):
+        for x, value in zip(r, got):
+            want = mpmath.log1p(mpmath.mpf(float(x))) - mpmath.log1p(-mpmath.mpf(float(x)))
+            assert abs(value - want) <= np.spacing(abs(float(want))), x
+
+
+@pytest.mark.parametrize("family", ["logit", "abs_logit"])
+def test_domain_check_passes_nan_and_empty_and_refuses_the_ends(family):
+    # a NaN is no evidence of leaving the domain; the residual check that
+    # reads the NaN refuses it
+    b = BetaSpec(family)
+    assert np.isnan(beta_eval(b, np.array([0.5, np.nan]))[1])
+    assert np.isnan(beta_prime(b, np.nan))
+    assert beta_eval(b, np.empty(0)).shape == (0,)
+    assert beta_eval(b, np.empty((0, 3))).shape == (0, 3)
+    for bad in (1.0, -1.0, np.array([0.0, np.nan, -1.0]), np.array([[0.5, 1.0]])):
+        for evaluate in (beta_eval, beta_prime, beta_hat_eval):
+            with pytest.raises(OutOfDomainError):
+                evaluate(b, bad)
+    # the unbounded graphs check nothing
+    assert beta_eval(BetaSpec("power"), 2.0) == 8.0
 
 
 def test_yosida_trivial_cases():
