@@ -9,7 +9,7 @@ unknown keys are rejected so typos surface immediately):
     [pi]      family (zero|tanh_decay)
     [initial] preset (constant|cosine|bump|csv), c, k, amplitude, path, smooth
     [source]  preset (zero|cosine_g|csv-series), k, amplitude, ramp, role, path
-    [solver]  lin_tol, newton_tol, max_newton
+    [solver]  newton_tol, max_newton
     [output]  directory, snapshot_stride
     [study]   h_levels, lambda_levels, epsilon_levels (comma lists; optional)
 
@@ -134,7 +134,6 @@ class ScenarioConfig:
     source_ramp: float = _ini("source", "ramp", 0.0)
     source_role: str = _ini("source", "role", "g")
     source_path: str = _ini("source", "path", "")
-    lin_tol: float = _ini("solver", "lin_tol", 1e-11)
     newton_tol: float = _ini("solver", "newton_tol", 1e-10)
     max_newton: int = _ini("solver", "max_newton", 50)
     directory: str = _ini("output", "directory", "out")
@@ -147,11 +146,7 @@ class ScenarioConfig:
         return SimParams(eps=self.eps, lam=self.lam, N=self.N, T=self.T, eta=self.eta, c3=self.c3)
 
     def solver_options(self):
-        return SolverOptions(
-            lin_tol=self.lin_tol,
-            newton_tol=self.newton_tol,
-            max_newton=self.max_newton,
-        )
+        return SolverOptions(newton_tol=self.newton_tol, max_newton=self.max_newton)
 
 
 def _schema():
@@ -453,16 +448,11 @@ def _cmd_validate(cfg, scenario, outdir):
 
 
 def _cmd_check_identities(cfg, scenario):
-    # short run at the configured step size with tightened, polished solves:
-    # the identities are exact, so any slack beyond roundoff is a defect
+    # short run at the configured step size with a tightened, polished Newton
+    # solve: the identities are exact, so any slack beyond roundoff is a defect
     n_short = min(cfg.N, 16)
     scenario = scenario.with_params(N=n_short, T=cfg.T * n_short / cfg.N)
-    opts = SolverOptions(
-        lin_tol=min(cfg.lin_tol, 1e-12),
-        newton_tol=min(cfg.newton_tol, 1e-13),
-        max_newton=cfg.max_newton,
-        polish=True,
-    )
+    opts = SolverOptions(newton_tol=min(cfg.newton_tol, 1e-13), max_newton=cfg.max_newton, polish=True)
     try:
         traj = run(scenario, opts)
     except (SolverFailure, ValueError) as exc:

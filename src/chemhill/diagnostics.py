@@ -253,9 +253,9 @@ def identity_report(traj, b, p, tol=1e-10):
 # inequality probes
 
 
-def smoothed_random_field(g, rng, opts=None):
+def smoothed_random_field(g, rng):
     """White nodal noise pushed twice through the shifted solve (a W-regular field), an array."""
-    return helmholtz_solve(g, helmholtz_solve(g, rng.standard_normal(g.shape), opts), opts)
+    return helmholtz_solve(g, helmholtz_solve(g, rng.standard_normal(g.shape)))
 
 
 @dataclass
@@ -267,7 +267,7 @@ class PTReport:
     per_tau: dict
 
 
-def check_pt_inequality(g, b, taus, trials, seed=0, opts=None):
+def check_pt_inequality(g, b, taus, trials, seed=0):
     """Sample the pairing (-Lap u, beta_tau(u))_H over random smooth fields.
 
     Summation by parts turns the pairing into a sum of products of face
@@ -286,7 +286,7 @@ def check_pt_inequality(g, b, taus, trials, seed=0, opts=None):
         worst = np.inf
         worst_norm = np.inf
         for _ in range(trials):
-            u = smoothed_random_field(g, rng, opts)
+            u = smoothed_random_field(g, rng)
             lap_u = laplacian_apply(g, u)
             bt = nl.yosida(b, tau, u)
             pairing = inner_h(g, -lap_u, bt)

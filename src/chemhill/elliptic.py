@@ -23,11 +23,11 @@ against scipy.fft's DCTs, it took 0.06 ms instead of 0.09 ms at n=64, but
 0.41 ms instead of 0.33 ms at n=128 and 2.7 ms instead of 1.4 ms at
 n=256, where a time step (power graph) took about 9% longer.
 Each public solve makes one transform apply and checks the true stencil
-residual once, against |r| <= tol + 8 * eps_mach * |A|_2 * |x| with the
-caller's ``lin_tol`` term as tol: evaluating b - A x costs about
-eps_mach * |A|_2 * |x| whatever x is, and |A|_2, exact from the symbol
-table, grows as 4*d/dx^2 (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., 2002, sections 7.1-7.2).
+residual once, against its evaluation floor |r| <= 8 * eps_mach * |A|_2 * |x|
+alone: evaluating b - A x costs about eps_mach * |A|_2 * |x| whatever x
+is, and |A|_2, exact from the symbol table, grows as 4*d/dx^2 (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sections
+7.1-7.2). The solves take no options.
 
 Every linear operator of the scheme is a member shift*I - alpha*Lap of
 one family, and ``_inverse_symbol`` is the one table of their inverse
@@ -166,7 +166,7 @@ class CompatibilityError(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances for the linear and per-step nonlinear solvers.
+    """Tolerances for the per-step nonlinear solve.
 
     ``polish=True`` adds one Newton correction after the iteration has met
     ``newton_tol`` (kept only if it lowers the true residual), which takes
@@ -175,14 +175,13 @@ class SolverOptions:
     u_{n+1} - u_n, so identity checks ask for it.
     """
 
-    lin_tol: float = 1e-11
     newton_tol: float = 1e-10
     max_newton: int = 50
     polish: bool = False
 
     def __post_init__(self):
-        if not (0 < self.lin_tol < np.inf and 0 < self.newton_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if not (isinstance(self.max_newton, (int, np.integer)) and self.max_newton >= 1):
             raise ValueError(f"max_newton must be an integer of at least 1, got {self.max_newton!r}")
 
@@ -305,13 +304,13 @@ def _inverse_symbol(d, n, shift, alpha):
     return sym
 
 
-def _checked_solve(g, b, shift, alpha, tol, what, x=None):
+def _checked_solve(g, b, shift, alpha, what, x=None):
     # spectral solve of (shift*I - alpha*Lap) x = b and one stencil residual
-    # check, which grants the residual's evaluation floor eps_mach*|A|_2*|x| on
-    # top of the caller's tol (normwise backward error, Higham 2002, 7.1-7.2).
+    # check against the residual's evaluation floor 8*eps_mach*|A|_2*|x| alone
+    # (normwise backward error, Higham 2002, 7.1-7.2).
     # An x already applied from the same table is checked, not applied again.
     # Written as ``not rnorm <= limit`` so that a NaN residual fails; so does
-    # a limit whose squares overflowed, which any residual would meet.
+    # a limit where |x|'s squares overflowed, which any residual would meet.
     # The residual b - (shift*x - alpha*Lap x) is formed in place, in that order.
     # A factor of exactly 1 is skipped, which leaves the bits as they are.
     if x is None:
@@ -326,18 +325,12 @@ def _checked_solve(g, b, shift, alpha, tol, what, x=None):
         res -= lap
     np.subtract(b, res, out=res)
     rnorm = _norm(res)
-    limit = tol + 8.0 * _EPS_MACH * _op_norm(g.d, g.n, shift, alpha) * _norm(x)
+    limit = 8.0 * _EPS_MACH * _op_norm(g.d, g.n, shift, alpha) * _norm(x)
     if not rnorm <= limit:
         raise SolverFailure(f"{what} solve residual {rnorm:.3e} exceeds tolerance", residual=rnorm)
     if limit == np.inf:
         raise SolverFailure(f"{what} solve residual check overflows: its tolerance is inf", residual=rnorm)
     return x
-
-
-def _shifted_solve(g, b, alpha, opts, x=None):
-    # (I - alpha*Lap)^(-1) b, checked against lin_tol * max(1, |b|)
-    tol = opts.lin_tol * max(1.0, _norm(b))
-    return _checked_solve(g, b, 1.0, alpha, tol, "shifted Neumann", x)
 
 
 def _mean_free(g, a, what):
@@ -347,28 +340,26 @@ def _mean_free(g, a, what):
         raise CompatibilityError(f"{what} must have zero average, got {m:.3e}")
 
 
-def helmholtz_solve(g, rhs, opts=None, alpha=1.0):
+def helmholtz_solve(g, rhs, *, alpha=1.0):
     """Solve (I - alpha*Lap) w = rhs on arrays; alpha=1 is the chemotaxis potential operator.
 
     Spectral solve; every call checks the stencil residual r once, against
-    |r| <= lin_tol * max(1, |rhs|) + 8 * eps_mach * |I - alpha*Lap|_2 * |w|.
+    its evaluation floor |r| <= 8 * eps_mach * |I - alpha*Lap|_2 * |w|.
     """
     _on_grid(g, rhs)
-    return _shifted_solve(g, rhs, alpha, opts or SolverOptions())
+    return _checked_solve(g, rhs, 1.0, alpha, "shifted Neumann")
 
 
-def neumann_poisson_solve(g, rhs, opts=None):
+def neumann_poisson_solve(g, rhs):
     """Solve -Lap w = rhs for the unique mean-zero array w (rhs must be mean-free).
 
     Spectral solve with the constant mode zeroed; every call checks the
-    stencil residual r once, against
-    |r| <= lin_tol * |rhs| + 8 * eps_mach * |Lap|_2 * |w|.
+    stencil residual r once, against its evaluation floor
+    |r| <= 8 * eps_mach * |Lap|_2 * |w|.
     """
-    opts = opts or SolverOptions()
     _mean_free(g, rhs, "right-hand side")
     b = rhs - rhs.mean()
-    tol = opts.lin_tol * _norm(b)
-    return _checked_solve(g, b, 0.0, 1.0, tol, "mean-zero Poisson")
+    return _checked_solve(g, b, 0.0, 1.0, "mean-zero Poisson")
 
 
 def dual_coefficients(g, stack, shift):
@@ -588,7 +579,7 @@ def step_solve(g, params, b, p, rhs, warm, opts=None, k_warm=None, local_warm=No
             rt = np.inf
         if rt < rn:
             u, ku, local = ut, kut, localt
-    return u, _shifted_solve(g, u, 1.0, opts, ku), local
+    return u, _checked_solve(g, u, 1.0, 1.0, "shifted Neumann", ku), local
 
 
 # roundings, beyond log2(node_count), on the longest path to a term of the

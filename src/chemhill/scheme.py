@@ -192,7 +192,7 @@ def step(g, u, mu, v, f_next, params, b, p, opts=None, local=None):
     rhs = h * f_next  # h*f_next + lam*u + v + h*K(mu - adv)
     rhs += lam * u
     rhs += v
-    k_mu = helmholtz_solve(g, mu - adv, opts)
+    k_mu = helmholtz_solve(g, mu - adv)
     k_mu *= h
     rhs += k_mu
     u_next, v_next, local_next = step_solve(g, params, b, p, rhs, u, opts, k_warm=v, local_warm=local)
@@ -200,7 +200,7 @@ def step(g, u, mu, v, f_next, params, b, p, opts=None, local=None):
     mu_arg /= h
     np.subtract(mu, mu_arg, out=mu_arg)
     mu_arg -= adv
-    mu_next = helmholtz_solve(g, mu_arg, opts)
+    mu_next = helmholtz_solve(g, mu_arg)
     if not all(np.isfinite(x).all() for x in (u_next, mu_next, v_next)):
         raise SolverFailure("the new level holds non-finite entries")
     return u_next, mu_next, v_next, local_next
@@ -232,7 +232,7 @@ def run(scenario, opts=None):
     if sources:
         if scenario.source.kind == "g":
             probes = sources
-            f = np.stack([neumann_poisson_solve(g, gk, opts) for gk in probes])
+            f = np.stack([neumann_poisson_solve(g, gk) for gk in probes])
         else:
             f = np.stack(sources)
 
@@ -244,9 +244,9 @@ def run(scenario, opts=None):
     u, mu, v = np.empty(shape), np.empty(shape), np.empty(shape)
     u[0] = scenario.u0
     if scenario.smooth_u0:
-        u[0] = helmholtz_solve(g, u[0], opts, alpha=params.eps)
+        u[0] = helmholtz_solve(g, u[0], alpha=params.eps)
     mu[0] = 0.0
-    v[0] = helmholtz_solve(g, u[0], opts)
+    v[0] = helmholtz_solve(g, u[0])
     zero = np.zeros(g.shape)  # every step's source in an unforced run
     local = None  # the Newton residual's rhs-free part at u[k], carried from step k - 1
     for k in range(params.N):

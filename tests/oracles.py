@@ -277,21 +277,21 @@ def fsum_norms(g, x):
     }
 
 
-def solve_vstar_norm(g, r, opts=None):
+def solve_vstar_norm(g, r):
     """sqrt((r, (I - Lap)^(-1) r)_h) through the package's checked shifted solve."""
     from chemhill.elliptic import helmholtz_solve
 
-    return float(np.sqrt(max(fsum_pair(g, r, helmholtz_solve(g, r, opts)), 0.0)))
+    return float(np.sqrt(max(fsum_pair(g, r, helmholtz_solve(g, r)), 0.0)))
 
 
-def solve_v0star_norm(g, r, opts=None):
+def solve_v0star_norm(g, r):
     """sqrt((r, (-Lap)^(-1) r)_h) through the package's checked mean-zero Poisson solve."""
     from chemhill.elliptic import neumann_poisson_solve
 
-    return float(np.sqrt(max(fsum_pair(g, r, neumann_poisson_solve(g, r, opts)), 0.0)))
+    return float(np.sqrt(max(fsum_pair(g, r, neumann_poisson_solve(g, r)), 0.0)))
 
 
-def per_step_ledger(traj, b, opts=None):
+def per_step_ledger(traj, b):
     """The twelve ledger entries, one step at a time, with solve-based dual norms."""
     from chemhill.diagnostics import DiagnosticsLedger
     from chemhill.nonlinearity import beta_eval
@@ -317,11 +317,11 @@ def per_step_ledger(traj, b, opts=None):
         du = (u1 - u0) / h
         dmu = (m1 - m0) / h
         z = du + h * dmu
-        led.q1 += h * solve_v0star_norm(g, z - z.mean(), opts) ** 2
+        led.q1 += h * solve_v0star_norm(g, z - z.mean()) ** 2
         led.q2 += h * sq_h(du)
         led.q4 += h * sq_v(du)
         led.q7 += h * sq_h(dmu)
-        led.q9 += h * solve_vstar_norm(g, du, opts) ** 2
+        led.q9 += h * solve_vstar_norm(g, du) ** 2
         led.q3 = max(led.q3, sq_v(u1))
         led.q5 = max(led.q5, g.cell_volume * float(np.sum(u1**4)))
         led.q6 = max(led.q6, sq_h(m1))
@@ -393,7 +393,7 @@ class Reconstruction:
         return self._u[min(self.locate(t)[0], self.N - 1)]
 
 
-def solve_uhat_diff_norms(traj_a, traj_b, opts=None):
+def solve_uhat_diff_norms(traj_a, traj_b):
     """Linf(0,T;H) and L2(0,T;dual) distance of two linear reconstructions, break by break.
 
     Each breakpoint's difference is an array from :class:`Reconstruction`,
@@ -406,7 +406,7 @@ def solve_uhat_diff_norms(traj_a, traj_b, opts=None):
     rec_a, rec_b = Reconstruction(traj_a), Reconstruction(traj_b)
     breaks = np.union1d(rec_a.levels, rec_b.levels)
     fields = [rec_a.u_hat(t) - rec_b.u_hat(t) for t in breaks]
-    solved = [helmholtz_solve(g, f, opts) for f in fields]
+    solved = [helmholtz_solve(g, f) for f in fields]
     l2v = 0.0
     for k in range(len(breaks) - 1):
         dt = breaks[k + 1] - breaks[k]

@@ -148,7 +148,6 @@ role = f
 path = /data/g.csv
 
 [solver]
-lin_tol = 1e-12
 newton_tol = 1e-11
 max_newton = 20
 
@@ -182,7 +181,7 @@ def test_every_field_round_trips_through_its_key():
         initial_path="/data/u0.csv", smooth=False,
         source_preset="csv-series", source_k=3, source_amplitude=2.0, source_ramp=1.0,
         source_role="f", source_path="/data/g.csv",
-        lin_tol=1e-12, newton_tol=1e-11, max_newton=20,
+        newton_tol=1e-11, max_newton=20,
         directory="results", snapshot_stride=2,
         h_levels=(40.0, 80.0), lambda_levels=(0.02, 0.01), epsilon_levels=(0.2, 0.1),
     )
@@ -533,9 +532,9 @@ def test_check_identities_2d_holds_at_roundoff(beta, changes):
 @pytest.mark.parametrize("n", [512, 2048], ids=["n512", "n2048"])
 def test_simulate_1d_logit_cosine_completes(tmp_path, n):
     # the stencil residual of a spectral solve carries an evaluation floor of
-    # about eps_mach * 4/dx^2 * |x|; a check of lin_tol * max(1, |b|) alone
-    # refuses set-up's first shifted solve at n=2048 (2.3e-9 after a round of
-    # refinement)
+    # about eps_mach * 4/dx^2 * |x|, and each solve is checked against it; a
+    # check of 1e-11 * max(1, |b|) alone refuses set-up's first shifted solve
+    # at n=2048 (2.3e-9 after a round of refinement)
     text = (
         RUNNABLE.replace("n = 48", f"n = {n}")
         .replace("family = power\nm = 3\nc1 = 0.25\nc2 = 0", "family = logit")
@@ -562,12 +561,64 @@ _BENCHMARK_LIKE = {
 
 @pytest.mark.parametrize("name", sorted(_BENCHMARK_LIKE))
 def test_check_identities_on_benchmark_scenarios(tmp_path, capsys, name):
-    # check-identities tightens lin_tol to 1e-12, below the residual's
-    # evaluation floor on these grids
+    # check-identities tightens newton_tol to 1e-13 and polishes; each
+    # spectral solve is checked at its evaluation floor alone
     conf = tmp_path / "bench.ini"
     conf.write_text(_BENCHMARK_LIKE[name])
     assert main(["check-identities", "--config", str(conf)]) == 0
     assert capsys.readouterr().out.count("pass") == 4
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-identities"])
+def test_retired_lin_tol_key_exits_two(tmp_path, capsys, command):
+    # the spectral solves are checked at their evaluation floor alone, so the
+    # [solver] lin_tol key is gone and a config that sets it is refused
+    conf = tmp_path / "retired.ini"
+    conf.write_text(RUNNABLE + "\n[solver]\nlin_tol = 1e-11\n")
+    assert main([command, "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'lin_tol' in section [solver]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# cosine data up to these amplitudes: further from the ends of a bounded graph
+_SCENARIO_AMPLITUDE = {"linear": 0.99, "power": 0.99, "logit": 0.9, "abs_logit": 0.9}
+
+
+@st.composite
+def _small_scenarios(draw):
+    # a small scenario of every graph family, perturbation and source, as an INI document
+    d = draw(st.sampled_from([1, 2]))
+    family, m = draw(st.sampled_from([("linear", 3), ("power", 3), ("power", 4), ("logit", 3), ("abs_logit", 3)]))
+    pi_family, c3 = draw(st.sampled_from([("zero", 0.0), ("tanh_decay", 0.5)]))
+    N = draw(st.sampled_from(range(1, 9)))
+    h = draw(st.sampled_from([1e-3, 1e-2]))
+    return (
+        f"[grid]\nd = {d}\nn = {draw(st.sampled_from(range(4, 129 if d == 1 else 17)))}\n\n"
+        f"[params]\neps = 0.1\nlambda = 0.01\nN = {N}\nT = {N * h!r}\n"
+        f"eta = {draw(st.sampled_from([0.0, 0.5]))}\nc3 = {c3}\n\n"
+        f"[beta]\nfamily = {family}\nm = {m}\n\n[pi]\nfamily = {pi_family}\n\n"
+        f"[initial]\npreset = cosine\nk = {draw(st.integers(1, 3))}\n"
+        f"amplitude = {_SCENARIO_AMPLITUDE[family] * draw(st.sampled_from(range(101))) / 100!r}\n"
+        f"smooth = {draw(st.booleans())}\n\n"
+        f"[source]\npreset = {draw(st.sampled_from(['zero', 'cosine_g']))}\nk = {draw(st.integers(1, 3))}\n"
+    )
+
+
+@settings(max_examples=350)
+@given(text=_small_scenarios())
+def test_check_identities_holds_on_small_scenarios(text):
+    # every identity, the mass row among them, holds on any small scenario
+    # with Newton's floor and the spectral solves' floor as the only slack
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "scenario.ini"
+        conf.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check-identities", "--config", str(conf)])
+    rows = out.getvalue().splitlines()
+    assert code == 0, out.getvalue()
+    assert [row.split()[-1] for row in rows] == ["pass"] * 4
+    assert rows[-1].startswith("mean_mass_invariant")
 
 
 @pytest.mark.parametrize(
@@ -874,7 +925,8 @@ _FUZZ_KEYS = {
     ("source", "path"): (["series.csv"], ["late.csv"]),
     ("source", "k"): (["1", "2"], ["0"]),
     ("source", "amplitude"): (["0", "1"], ["1e155", "1e160", "1e300", "nan"]),
-    ("solver", "lin_tol"): (["1e-11", "1e-14"], ["0", "nan"]),
+    # a retired key: any value is an unknown key
+    ("solver", "lin_tol"): ([], ["1e-11", "0", "nan"]),
     ("solver", "newton_tol"): (["1e-10", "1e-13"], ["0", "nan"]),
     ("study", "h_levels"): (["2, 4"], ["2.5, 4", "nan"]),
     ("study", "lambda_levels"): (["0.02, 0.01", "0.01, 0.005, 0.0025"], ["nan", "0.01, 0.02"]),

@@ -32,7 +32,7 @@ import oracles
 
 # the setting check-identities uses: the identities are exact, so each step's
 # Newton iteration is polished to its residual floor, not stopped inside tol
-TIGHT = SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True)
+TIGHT = SolverOptions(newton_tol=1e-13, polish=True)
 
 IDENTITY_ROWS = [
     "ubar_uhat_l2_identity",

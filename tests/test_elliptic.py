@@ -31,17 +31,19 @@ import oracles
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(lin_tol=0.0)
-    with pytest.raises(ValueError):
         SolverOptions(max_newton=0)
+    # the linear solves take no tolerance: each is checked at its evaluation floor alone
+    with pytest.raises(TypeError):
+        SolverOptions(lin_tol=1e-11)
+    # nor options: alpha is keyword-only, so stale options cannot bind to it
+    g = make_grid(1, 8)
+    with pytest.raises(TypeError):
+        helmholtz_solve(g, np.ones(g.shape), SolverOptions())
 
 
 @pytest.mark.parametrize(
     "bad",
     [
-        {"lin_tol": np.nan},
-        {"lin_tol": np.inf},
-        {"lin_tol": -1e-11},
         {"newton_tol": np.nan},
         {"newton_tol": np.inf},
         {"newton_tol": 0.0},
@@ -260,7 +262,7 @@ def test_step_solve_matches_dense_power_oracle_2d():
     want = oracles.power_step_solution_2d(g.n, params.lam, params.eps, params.h, 3, rhs_vals)
     assert np.max(np.abs(u - want)) <= 1e-9
     # v = K u is the transform of the accepted residual, bitwise the shifted solve
-    assert np.array_equal(v, helmholtz_solve(g, u, opts))
+    assert np.array_equal(v, helmholtz_solve(g, u))
 
 
 def test_step_solve_unconverged_direction_raises(monkeypatch):
@@ -417,7 +419,7 @@ def test_checked_solve_fails_on_a_non_finite_residual(shift):
     b = np.cos(np.pi * g.axis)
     b[3] = np.inf
     with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="residual nan exceeds"):
-        elliptic._checked_solve(g, b, shift, 1.0, 1.0, "probe")
+        elliptic._checked_solve(g, b, shift, 1.0, "probe")
 
 
 def test_step_solve_refuses_a_start_whose_norms_overflow():
@@ -430,16 +432,39 @@ def test_step_solve_refuses_a_start_whose_norms_overflow():
 
 
 def test_checked_solve_refuses_a_tolerance_that_overflows():
-    # |b| overflows, so lin_tol * max(1, |b|) is inf and would pass a wrong x of zeros
+    # |x| overflows, so the floor 8 * eps_mach * |A|_2 * |x| is inf, and so is
+    # the residual of this wrong x for b = 0: inf <= inf would pass it
     g = make_grid(1, 16)
-    b = 1e155 * np.cos(np.pi * g.axis)
+    x = 1e155 * np.cos(np.pi * g.axis)
     with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="shifted Neumann solve residual check overflows"):
-        elliptic._shifted_solve(g, b, 1.0, SolverOptions(), np.zeros(g.shape))
+        elliptic._checked_solve(g, np.zeros(g.shape), 1.0, 1.0, "shifted Neumann", x)
     with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="overflows"):
-        helmholtz_solve(g, b)
-    # below the overflow the same check refuses the zeros
+        helmholtz_solve(g, x)
+    # below the overflow the same check refuses a wrong x of zeros
     with pytest.raises(SolverFailure, match="residual 2.828e\\+150 exceeds"):
-        elliptic._shifted_solve(g, b / 1e5, 1.0, SolverOptions(), np.zeros(g.shape))
+        elliptic._checked_solve(g, x / 1e5, 1.0, 1.0, "shifted Neumann", np.zeros(g.shape))
+
+
+@pytest.mark.parametrize("shift", [1.0, 0.0], ids=["shifted", "poisson"])
+def test_checked_solve_grants_no_slack_above_the_floor(shift):
+    # a solution perturbed along mode 1 so that its stencil residual lies
+    # between the evaluation floor and a relative tolerance of 1e-11 *
+    # max(1, |b|) (1e-11 * |b| for the Poisson solve): a check that added
+    # such a tolerance to the floor would pass it, the floor alone refuses it
+    g = make_grid(1, 16)
+    b = np.cos(np.pi * g.axis)
+    x = elliptic._checked_solve(g, b, shift, 1.0, "probe")
+    mode = np.cos(np.pi * g.axis)
+    eps = np.finfo(float).eps
+    floor = 8 * eps * (shift - _eigenvalues(1, 16).min()) * np.linalg.norm(x)
+    slack = 1e-11 * (max(1.0, np.linalg.norm(b)) if shift else np.linalg.norm(b))
+    # A mode = (shift + 4 sin^2(pi/(2n))/dx^2) mode; aim at the geometric mean
+    gain = (shift - _eigenvalues(1, 16)[1]) * np.linalg.norm(mode)
+    bad = x + np.sqrt(floor * slack) / gain * mode
+    res = np.linalg.norm(b - (shift * bad - laplacian_apply(g, bad)))
+    assert 3 * floor < res < slack / 3
+    with pytest.raises(SolverFailure, match="probe solve residual .* exceeds tolerance"):
+        elliptic._checked_solve(g, b, shift, 1.0, "probe", bad)
 
 
 def test_newton_direction_refuses_a_right_hand_side_that_overflows():
@@ -635,14 +660,14 @@ def test_pt_pairing_linear_graph_closed_form():
 _SPECTRAL_SIZES = [(1, 16), (1, 128), (1, 512), (1, 2048), (1, 8192), (2, 8), (2, 64), (2, 256)]
 
 
-def _check_solution(g, b, w, shift, alpha, tol):
-    # the documented residual check, |r| <= tol + 8 * eps_mach * |A|_2 * |w|,
+def _check_solution(g, b, w, shift, alpha):
+    # the documented residual check, |r| <= 8 * eps_mach * |A|_2 * |w|,
     # and the forward error against scipy.fft's DCTs at the tolerance of
     # test_dct_apply_matches_scipy_oracle
     ev = _eigenvalues(g.d, g.n)
     eps = np.finfo(float).eps
     res = b - (shift * w - alpha * laplacian_apply(g, w))
-    assert np.linalg.norm(res) <= tol + 8 * eps * (shift - alpha * ev.min()) * np.linalg.norm(w)
+    assert np.linalg.norm(res) <= 8 * eps * (shift - alpha * ev.min()) * np.linalg.norm(w)
     den = shift - alpha * ev
     mult = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
     growth = np.log2(2 * g.n) if g.d == 1 else g.n
@@ -651,12 +676,11 @@ def _check_solution(g, b, w, shift, alpha, tol):
 
 
 def _solve_both_and_check(g, b, alpha):
-    opts = SolverOptions()
-    w = helmholtz_solve(g, b, opts, alpha=alpha)
-    _check_solution(g, b, w, 1.0, alpha, opts.lin_tol * max(1.0, np.linalg.norm(b)))
+    w = helmholtz_solve(g, b, alpha=alpha)
+    _check_solution(g, b, w, 1.0, alpha)
     b0 = b - b.mean()
-    f = neumann_poisson_solve(g, b0, opts)
-    _check_solution(g, b0, f, 0.0, 1.0, opts.lin_tol * np.linalg.norm(b0))
+    f = neumann_poisson_solve(g, b0)
+    _check_solution(g, b0, f, 0.0, 1.0)
     assert abs(mean(g, f)) <= 1e-14 * max(1.0, np.max(np.abs(f)))
 
 
@@ -676,8 +700,8 @@ def test_spectral_solves_meet_stencil_residual_checks(size, alpha, scale, seed):
 @pytest.mark.parametrize("n", [1024, 8192])
 def test_residual_check_grants_the_evaluation_floor(n):
     # evaluating b - A x costs about 1e-16 * 4/dx^2 * |x| in roundoff, which
-    # exceeds lin_tol * |b| for white noise on 1D n=1024 (seed 7, shifted:
-    # 1.1e-9 against 3.0e-10); the check adds that floor, so both solves pass
+    # exceeds 1e-11 * |b| for white noise on 1D n=1024 (seed 7, shifted:
+    # 1.1e-9 against 3.0e-10); the check is that floor, so both solves pass
     g = make_grid(1, n)
     _solve_both_and_check(g, np.random.default_rng(7).standard_normal(g.shape), 1.0)
 

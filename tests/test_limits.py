@@ -40,7 +40,7 @@ def test_h_study_against_eigen_recurrence():
     g = make_grid(1, 64)
     sc = base_scenario(g, family="linear", T=0.1, lam=1e-3)
     levels = [32, 64, 128, 256]
-    rep = study("h", sc, levels, opts=SolverOptions(newton_tol=1e-13, lin_tol=1e-12))
+    rep = study("h", sc, levels, opts=SolverOptions(newton_tol=1e-13))
     assert rep.failed_level is None
     assert rep.levels == [0.1 / n for n in levels]
     assert all(a > b for a, b in zip(rep.diffs_linf_h, rep.diffs_linf_h[1:]))
@@ -202,7 +202,7 @@ def short_traj():
     params = SimParams(eps=0.1, lam=0.05, N=8, T=0.2, eta=0.5)
     u0 = np.cos(np.pi * g.axis)
     sc = Scenario(grid=g, params=params, beta=BetaSpec("power", c2=0.0), pi=PiSpec("zero"), u0=u0)
-    return run(sc, SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True))
+    return run(sc, SolverOptions(newton_tol=1e-13, polish=True))
 
 
 def test_interpolant_evaluation_conventions(short_traj):

@@ -30,7 +30,7 @@ import oracles
 
 # the setting check-identities uses: the identities are exact, so each step's
 # Newton iteration is polished to its residual floor, not stopped inside tol
-TIGHT = SolverOptions(newton_tol=1e-13, lin_tol=1e-12, polish=True)
+TIGHT = SolverOptions(newton_tol=1e-13, polish=True)
 
 
 def cosine_scenario(g, params, family="power", amp=1.0, smooth=False, **beta_kw):
@@ -176,7 +176,7 @@ def test_smoothing_preserves_mean_and_state_potentials_consistent():
     traj = run(sc, TIGHT)
     assert mean(g, traj.u[0]) == pytest.approx(mean(g, sc.u0), abs=1e-13)
     for u, v in zip(traj.u, traj.v):
-        back = helmholtz_solve(g, u, TIGHT)
+        back = helmholtz_solve(g, u)
         assert np.max(np.abs(back - v)) <= 1e-11
 
 
